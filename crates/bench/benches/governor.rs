@@ -2,7 +2,7 @@
 //! synthetic loads.
 //!
 //! Phase 1 (untimed) lets a real [`ResourceGovernor`] observe a real
-//! [`OnlineTable`] under synthetic load — idle (nothing running),
+//! 1-shard [`ShardedTable`] under synthetic load — idle (nothing running),
 //! read-heavy (a signal thread holding engine-run guards), write-heavy (a
 //! fat delta with the table over its memory soft limit) — and asserts the
 //! expected decision-table row fired. Phase 2 (timed) measures merge
@@ -19,7 +19,9 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hyrise_bench::build_column;
 use hyrise_core::governor::{begin_read, GovernorConfig, GrantSignal, LoadView, ResourceGovernor};
-use hyrise_core::{MergeGrant, MergePipeline, MergePolicy, MergeScratch, OnlineTable};
+use hyrise_core::{
+    MergeGrant, MergePipeline, MergePolicy, MergeScratch, OnlineTable, ShardedTable,
+};
 use hyrise_storage::{DeltaPartition, MainPartition};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -33,8 +35,8 @@ const LAMBDA: f64 = 0.1;
 const TABLE_ROWS: usize = 60_000;
 const DOMAIN: u64 = 10_000;
 
-fn build_table(rows: usize) -> OnlineTable<u64> {
-    let t = OnlineTable::new(COLS);
+fn build_table(rows: usize) -> ShardedTable<u64> {
+    let t = ShardedTable::builder().columns(COLS).build().unwrap();
     let batch: Vec<Vec<u64>> = (0..rows as u64)
         .map(|i| {
             (0..COLS as u64)
@@ -43,7 +45,7 @@ fn build_table(rows: usize) -> OnlineTable<u64> {
         })
         .collect();
     t.insert_rows(&batch).unwrap();
-    t.merge(1, None).unwrap();
+    t.merge_all(1).unwrap();
     t
 }
 
@@ -63,11 +65,11 @@ fn fill_delta(t: &OnlineTable<u64>, pct: usize) {
 
 /// Ask a governor observing `table` for this round's grant, after a
 /// sampling window under the caller's synthetic load.
-fn observed_grant(table: &OnlineTable<u64>, config: GovernorConfig) -> (MergeGrant, GrantSignal) {
+fn observed_grant(table: &ShardedTable<u64>, config: GovernorConfig) -> (MergeGrant, GrantSignal) {
     let gov = ResourceGovernor::new(config);
-    let _ = gov.plan(&LoadView::of_source(table)); // open the window
+    let _ = gov.plan(&LoadView::of_table(table, 1)); // open the window
     std::thread::sleep(Duration::from_millis(40));
-    let plan = gov.plan(&LoadView::of_source(table));
+    let plan = gov.plan(&LoadView::of_table(table, 1));
     (plan.grant, plan.signal)
 }
 
@@ -117,10 +119,11 @@ fn assert_write_heavy_acceptance(static_grant: MergeGrant, adaptive_grant: Merge
         !adaptive_grant.budget.is_unbounded(),
         "write-heavy adaptive grant must carry a column budget"
     );
-    let t_static = build_table(TABLE_ROWS);
-    let t_adaptive = build_table(TABLE_ROWS);
-    fill_delta(&t_static, 8);
-    fill_delta(&t_adaptive, 8);
+    let static_table = build_table(TABLE_ROWS);
+    let adaptive_table = build_table(TABLE_ROWS);
+    let (t_static, t_adaptive) = (static_table.shard(0), adaptive_table.shard(0));
+    fill_delta(t_static, 8);
+    fill_delta(t_adaptive, 8);
     let s = t_static.merge_with(static_grant, None).unwrap();
     let a = t_adaptive.merge_with(adaptive_grant, None).unwrap();
     assert!(
@@ -133,8 +136,8 @@ fn assert_write_heavy_acceptance(static_grant: MergeGrant, adaptive_grant: Merge
     // Throughput within 10% (min-of-3; retry once — the container shares
     // its cores).
     for attempt in 0..2 {
-        let ws = min_merge_wall(&t_static, static_grant, 2, 3);
-        let wa = min_merge_wall(&t_adaptive, adaptive_grant, 2, 3);
+        let ws = min_merge_wall(t_static, static_grant, 2, 3);
+        let wa = min_merge_wall(t_adaptive, adaptive_grant, 2, 3);
         if wa <= ws * 1.10 {
             return;
         }
@@ -159,7 +162,7 @@ fn bench_governor(c: &mut Criterion) {
     // --- Phase 1: let the governor observe real load, pin the decisions.
     // Idle: nothing reads, nothing writes — the governor raises threads.
     let table = build_table(TABLE_ROWS);
-    fill_delta(&table, 2);
+    fill_delta(table.shard(0), 2);
     let (idle_grant, sig) = observed_grant(&table, GovernorConfig::from_policy(policy));
     assert_eq!(sig, GrantSignal::ReadIdle, "quiet process reads as idle");
 
@@ -182,7 +185,7 @@ fn bench_governor(c: &mut Criterion) {
 
     // Write-heavy: a fat delta pushes the table past its soft limit — the
     // governor shrinks the budget to one column.
-    fill_delta(&table, 8);
+    fill_delta(table.shard(0), 8);
     let soft_limit = table.memory_report().total() / 2;
     let (write_grant, sig) = observed_grant(
         &table,

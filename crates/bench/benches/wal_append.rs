@@ -24,7 +24,7 @@
 //! the write-off is free.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hyrise_core::{Durability, OnlineTable};
+use hyrise_core::{Durability, ShardedTable};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -44,8 +44,9 @@ fn scratch_dir(tag: u64) -> PathBuf {
     std::env::temp_dir().join(format!("hyrise-wal-bench-{}-{tag}", std::process::id()))
 }
 
-/// Time `iters` rounds of `batches` batched inserts against a fresh
-/// table per round, with construction and teardown outside the clock.
+/// Time `iters` rounds of `batches` batched inserts against the only
+/// shard of a fresh 1-shard table per round, with construction and
+/// teardown outside the clock.
 fn timed_rounds(
     iters: u64,
     batches: usize,
@@ -59,17 +60,18 @@ fn timed_rounds(
             Durability::Wal { dir, .. } => Some(dir.clone()),
             _ => None,
         };
-        let t: OnlineTable<u64> = OnlineTable::builder()
+        let table = ShardedTable::<u64>::builder()
             .columns(2)
             .durability(d)
             .build()
             .unwrap();
+        let t = table.shard(0);
         let start = Instant::now();
         for _ in 0..batches {
             black_box(t.insert_rows(batch).unwrap());
         }
         total += start.elapsed();
-        drop(t);
+        drop(table);
         if let Some(dir) = dir {
             let _ = std::fs::remove_dir_all(&dir);
         }

@@ -1,32 +1,30 @@
-//! Unified table construction: [`TableConfig`], [`TableBuilder`], and
-//! [`ShardedTableBuilder`].
+//! Table construction: [`ShardedTableBuilder`] and [`Durability`].
 //!
 //! Durability made construction configuration-heavy — columns, a WAL
-//! directory and fsync policy, a governor profile, sharding layout — and
-//! the scattered positional constructors (`OnlineTable::new` and the
-//! since-removed `ShardedTable::hash`/`range`) don't scale to that. The
-//! builders are the one construction surface:
+//! directory and fsync policy, sharding layout — so one builder is the
+//! construction surface. A 1-shard table is the paper's single table:
 //!
 //! ```
-//! use hyrise_core::{Durability, OnlineTable};
+//! use hyrise_core::{Durability, ShardedTable};
 //! # fn main() -> hyrise_core::Result<()> {
-//! let table: OnlineTable<u64> = OnlineTable::builder()
+//! let table: ShardedTable<u64> = ShardedTable::builder()
 //!     .columns(3)
 //!     .durability(Durability::None)
 //!     .build()?;
+//! assert_eq!(table.num_shards(), 1);
 //! # Ok(())
 //! # }
 //! ```
 //!
-//! A durable table writes its manifest and opens its first WAL segment at
-//! build time; building over a directory that already holds a table is a
-//! [`Error::Config`] — re-open those with [`crate::recovery::recover`].
+//! A durable table writes its manifests and opens each shard's first WAL
+//! segment at build time; building over a directory that already holds a
+//! table is a [`Error::Config`] — re-open those with
+//! [`crate::recovery::recover_sharded`].
 
 use crate::error::{Error, Result};
-use crate::governor::GovernorConfig;
 use crate::manager::OnlineTable;
 use crate::pipeline::SpareBank;
-use crate::shard::{ShardBy, ShardedTable};
+use crate::shard::{check_layout, ShardBy, ShardedTable};
 use crate::wal::{self, Wal};
 use hyrise_storage::Value;
 use std::path::{Path, PathBuf};
@@ -40,11 +38,12 @@ pub enum Durability {
     #[default]
     None,
     /// Append a write-ahead record per insert batch / validity flip to
-    /// `dir`, so [`crate::recovery::recover`] rebuilds the table after a
-    /// crash.
+    /// `dir`, so [`crate::recovery::recover_sharded`] rebuilds the table
+    /// after a crash.
     Wal {
-        /// The table's directory: manifest, WAL segments, checkpoint,
-        /// merge log. One table per directory.
+        /// The table's root directory: the sharded manifest plus one
+        /// `shard-<i>/` directory per shard (manifest, WAL segments,
+        /// checkpoint, merge log). One table per directory.
         dir: PathBuf,
         /// `true`: records are fdatasync'd before the rows become
         /// visible — durable against power loss, at a large insert
@@ -56,92 +55,18 @@ pub enum Durability {
     },
 }
 
-/// The resolved configuration a [`TableBuilder`] accumulates. Public so
-/// callers can build configs programmatically and hand them around (the
-/// workload driver threads one through its scenario set-up).
-#[derive(Clone, Debug)]
-pub struct TableConfig {
-    /// Number of columns (must be ≥ 1).
-    pub columns: usize,
-    /// Crash-durability policy.
-    pub durability: Durability,
-    /// Governor profile recorded on the table (consumed by recovery's
-    /// resume grant and by callers spawning schedulers).
-    pub governor: Option<GovernorConfig>,
-}
-
-impl Default for TableConfig {
-    fn default() -> Self {
-        Self {
-            columns: 1,
-            durability: Durability::None,
-            governor: None,
-        }
+/// One shard of a fresh table: `n_cols` columns sharing `bank`, logging
+/// into `wal_dir` (directory, fsync policy) when durable.
+fn build_shard<V: Value>(
+    n_cols: usize,
+    bank: &Arc<SpareBank<V>>,
+    wal_dir: Option<(PathBuf, bool)>,
+) -> Result<OnlineTable<V>> {
+    let mut table = OnlineTable::new(n_cols).with_spare_bank(Arc::clone(bank));
+    if let Some((dir, fsync)) = wal_dir {
+        table.set_wal(Some(open_fresh_wal::<V>(&dir, fsync, n_cols)?));
     }
-}
-
-/// Builder for [`OnlineTable`] — see the module docs.
-#[derive(Default)]
-pub struct TableBuilder<V> {
-    config: TableConfig,
-    bank: Option<Arc<SpareBank<V>>>,
-}
-
-impl<V: Value> TableBuilder<V> {
-    /// An empty builder: 1 column, [`Durability::None`], no governor.
-    pub fn new() -> Self {
-        Self {
-            config: TableConfig::default(),
-            bank: None,
-        }
-    }
-
-    /// Start from an existing [`TableConfig`].
-    pub fn from_config(config: TableConfig) -> Self {
-        Self { config, bank: None }
-    }
-
-    /// Number of columns.
-    pub fn columns(mut self, n: usize) -> Self {
-        self.config.columns = n;
-        self
-    }
-
-    /// Crash-durability policy.
-    pub fn durability(mut self, d: Durability) -> Self {
-        self.config.durability = d;
-        self
-    }
-
-    /// Record a governor profile on the table.
-    pub fn governor(mut self, cfg: GovernorConfig) -> Self {
-        self.config.governor = Some(cfg);
-        self
-    }
-
-    /// Share a [`SpareBank`] (e.g. across the shards of one table).
-    pub fn spare_bank(mut self, bank: Arc<SpareBank<V>>) -> Self {
-        self.bank = Some(bank);
-        self
-    }
-
-    /// Build the table. Fails with [`Error::Config`] on zero columns or a
-    /// WAL directory that already holds a table, and with [`Error::Io`]
-    /// when the directory/manifest/segment cannot be created.
-    pub fn build(self) -> Result<OnlineTable<V>> {
-        if self.config.columns == 0 {
-            return Err(Error::config("a table needs at least one column"));
-        }
-        let mut table = OnlineTable::new(self.config.columns);
-        if let Some(bank) = self.bank {
-            table = table.with_spare_bank(bank);
-        }
-        if let Durability::Wal { dir, fsync } = &self.config.durability {
-            table.set_wal(Some(open_fresh_wal::<V>(dir, *fsync, self.config.columns)?));
-        }
-        table.set_governor_config(self.config.governor);
-        Ok(table)
-    }
+    Ok(table)
 }
 
 /// Create `dir`, refuse it if it already holds a table, write the
@@ -150,7 +75,7 @@ fn open_fresh_wal<V: Value>(dir: &Path, fsync: bool, n_cols: usize) -> Result<Wa
     std::fs::create_dir_all(dir).map_err(|e| Error::io("create table directory", e))?;
     if wal::manifest_exists(dir) || !wal::list_segments(dir)?.is_empty() {
         return Err(Error::config(format!(
-            "{} already holds a table; re-open it with hyrise_core::recovery::recover",
+            "{} already holds a table; re-open it with hyrise_core::recover_sharded",
             dir.display()
         )));
     }
@@ -166,18 +91,18 @@ fn open_fresh_wal<V: Value>(dir: &Path, fsync: bool, n_cols: usize) -> Result<Wa
 }
 
 /// Builder for [`ShardedTable`]: shard count or range bounds, routing key
-/// column, and the same column/durability/governor knobs as
-/// [`TableBuilder`] applied per shard.
+/// column, columns per shard and durability.
 ///
 /// With [`Durability::Wal`] the directory becomes the *root*: a sharded
 /// manifest plus one `shard-<i>/` table directory per shard, each with
-/// its own segments and checkpoint (the per-shard WAL of the tentpole).
+/// its own segments and checkpoint.
 #[derive(Debug)]
 pub struct ShardedTableBuilder<V> {
     shards: Option<usize>,
     by: ShardBy<V>,
     key_col: usize,
-    config: TableConfig,
+    columns: usize,
+    durability: Durability,
 }
 
 impl<V: Value> ShardedTableBuilder<V> {
@@ -188,7 +113,8 @@ impl<V: Value> ShardedTableBuilder<V> {
             shards: None,
             by: ShardBy::Hash,
             key_col: 0,
-            config: TableConfig::default(),
+            columns: 1,
+            durability: Durability::None,
         }
     }
 
@@ -214,81 +140,43 @@ impl<V: Value> ShardedTableBuilder<V> {
 
     /// Number of columns per shard.
     pub fn columns(mut self, n: usize) -> Self {
-        self.config.columns = n;
+        self.columns = n;
         self
     }
 
     /// Crash-durability policy (per shard, under one root directory).
     pub fn durability(mut self, d: Durability) -> Self {
-        self.config.durability = d;
-        self
-    }
-
-    /// Record a governor profile on every shard.
-    pub fn governor(mut self, cfg: GovernorConfig) -> Self {
-        self.config.governor = Some(cfg);
+        self.durability = d;
         self
     }
 
     /// Build the sharded table, validating the layout first
     /// ([`Error::Config`] on unsorted range bounds, a shard-count
-    /// mismatch, zero shards/columns, or a key column out of range).
+    /// mismatch, zero shards/columns, or a key column out of range). A
+    /// durable build also fails with [`Error::Config`] over a directory
+    /// that already holds a table, and with [`Error::Io`] when a
+    /// directory, manifest or segment cannot be created.
     pub fn build(self) -> Result<ShardedTable<V>> {
-        if self.config.columns == 0 {
-            return Err(Error::config("a table needs at least one column"));
-        }
-        if self.key_col >= self.config.columns {
-            return Err(Error::config(format!(
-                "key column {} out of range for {} columns",
-                self.key_col, self.config.columns
-            )));
-        }
         let num_shards = match &self.by {
-            ShardBy::Hash => {
-                let n = self.shards.unwrap_or(1);
-                if n == 0 {
-                    return Err(Error::config("a sharded table needs at least one shard"));
-                }
-                n
-            }
-            ShardBy::Range(bounds) => {
-                if !bounds.windows(2).all(|w| w[0] < w[1]) {
-                    return Err(Error::config("range bounds must be strictly ascending"));
-                }
-                let implied = bounds.len() + 1;
-                if self.shards.is_some_and(|n| n != implied) {
-                    return Err(Error::config(format!(
-                        "{} range bounds imply {implied} shards, but .shards() asked for {}",
-                        bounds.len(),
-                        self.shards.unwrap_or(0)
-                    )));
-                }
-                implied
-            }
+            ShardBy::Hash => self.shards.unwrap_or(1),
+            ShardBy::Range(bounds) => self.shards.unwrap_or(bounds.len() + 1),
         };
+        check_layout(&self.by, num_shards, self.key_col, self.columns).map_err(Error::config)?;
         let bank = Arc::new(SpareBank::new());
         let mut shards = Vec::with_capacity(num_shards);
         for i in 0..num_shards {
-            let mut builder = TableBuilder::new()
-                .columns(self.config.columns)
-                .spare_bank(Arc::clone(&bank));
-            if let Some(g) = &self.config.governor {
-                builder = builder.governor(g.clone());
-            }
-            if let Durability::Wal { dir, fsync } = &self.config.durability {
-                builder = builder.durability(Durability::Wal {
-                    dir: wal::shard_dir(dir, i),
-                    fsync: *fsync,
-                });
-            }
-            shards.push(builder.build()?);
+            let wal_dir = match &self.durability {
+                Durability::Wal { dir, fsync } => Some((wal::shard_dir(dir, i), *fsync)),
+                Durability::None => None,
+            };
+            shards.push(build_shard(self.columns, &bank, wal_dir)?);
         }
-        if let Durability::Wal { dir, fsync } = &self.config.durability {
+        if let Durability::Wal { dir, fsync } = &self.durability {
             wal::write_sharded_manifest(
                 dir,
                 &wal::ShardedManifest {
                     n_shards: num_shards,
-                    n_cols: self.config.columns,
+                    n_cols: self.columns,
                     value_bytes: V::BYTES,
                     fsync: *fsync,
                     key_col: self.key_col,
@@ -312,14 +200,15 @@ mod tests {
 
     #[test]
     fn builder_defaults_match_new() {
-        let t: OnlineTable<u64> = OnlineTable::builder().columns(3).build().unwrap();
+        let t: ShardedTable<u64> = ShardedTable::builder().columns(3).build().unwrap();
+        assert_eq!(t.num_shards(), 1);
         assert_eq!(t.num_columns(), 3);
         assert_eq!(t.row_count(), 0);
     }
 
     #[test]
     fn zero_columns_is_a_config_error() {
-        let err = OnlineTable::<u64>::builder()
+        let err = ShardedTable::<u64>::builder()
             .columns(0)
             .build()
             .map(|_| ())
@@ -370,24 +259,17 @@ mod tests {
             line!()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let t: OnlineTable<u64> = OnlineTable::builder()
-            .columns(2)
-            .durability(Durability::Wal {
-                dir: dir.clone(),
-                fsync: false,
-            })
-            .build()
-            .unwrap();
-        drop(t);
-        let err = OnlineTable::<u64>::builder()
-            .columns(2)
-            .durability(Durability::Wal {
-                dir: dir.clone(),
-                fsync: false,
-            })
-            .build()
-            .map(|_| ())
-            .unwrap_err();
+        let build = || {
+            ShardedTable::<u64>::builder()
+                .columns(2)
+                .durability(Durability::Wal {
+                    dir: dir.clone(),
+                    fsync: false,
+                })
+                .build()
+        };
+        drop(build().unwrap());
+        let err = build().map(|_| ()).unwrap_err();
         assert!(matches!(err, Error::Config { .. }));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -3,9 +3,8 @@
 //! Durability makes fallibility real: once a table carries a write-ahead
 //! log, inserts and merges can fail on I/O and recovery can fail on a
 //! corrupt log. Every public mutation/recovery entry point returns
-//! [`Result`] with this [`Error`]; in-memory-only tables keep their
-//! infallible convenience wrappers (an error is impossible on the
-//! zero-I/O path, so they simply unwrap).
+//! [`Result`] with this [`Error`], on in-memory tables too (where the
+//! zero-I/O path never returns an error).
 
 use std::path::PathBuf;
 

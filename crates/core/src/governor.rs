@@ -51,10 +51,8 @@
 //! `shard_scalability` harness prints that trace next to its per-stage
 //! columns.
 //!
-//! Both [`crate::scheduler::SourceScheduler`] and
-//! [`crate::shard::ShardedScheduler`] poll through [`ResourceGovernor::plan`]
-//! — one decision core instead of two hand-rolled loops. For a sharded
-//! view the plan also ranks shards by `delta fraction × pressure` and
+//! [`crate::shard::ShardedScheduler`] polls through [`ResourceGovernor::plan`].
+//! The plan also ranks shards by `delta fraction × pressure` and
 //! selects at most `max_concurrent` of them; the pressure factor makes
 //! merges *more* eager under write/memory pressure and never less eager
 //! than the static trigger, so a governed scheduler bounds the delta at
@@ -63,8 +61,8 @@
 use crate::manager::MergePolicy;
 use crate::pipeline::{MergeBudget, MergeGrant, MergeStrategy};
 use crate::rate::{self, WriteLoad};
-use crate::scheduler::MergeOutcome;
-use hyrise_storage::MemoryReport;
+use crate::shard::{MergeOutcome, ShardedTable};
+use hyrise_storage::{MemoryReport, Value};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -278,10 +276,6 @@ pub enum GrantSignal {
     /// Read rate below the idle threshold with nothing in flight: all
     /// threads.
     ReadIdle,
-    /// Crash recovery resumed a half-finished merge from its checkpoint:
-    /// the policy's baseline grant, recorded so recovery-driven merges are
-    /// visible among the regular rounds.
-    Resume,
 }
 
 impl std::fmt::Display for GrantSignal {
@@ -293,7 +287,6 @@ impl std::fmt::Display for GrantSignal {
             GrantSignal::QueueDeep => write!(f, "queue-deep"),
             GrantSignal::WriteBurst => write!(f, "write-burst"),
             GrantSignal::ReadIdle => write!(f, "read-idle"),
-            GrantSignal::Resume => write!(f, "resume"),
         }
     }
 }
@@ -327,7 +320,7 @@ impl std::fmt::Display for GrantRecord {
 }
 
 /// What a scheduler tells the governor about its source(s) each round.
-/// Build one with [`LoadView::of_source`] or by hand.
+/// Build one with [`LoadView::of_table`] or by hand.
 #[derive(Clone, Debug)]
 pub struct LoadView {
     /// Per-source merge-trigger ratios (one entry for a single table, one
@@ -349,15 +342,15 @@ pub struct LoadView {
 }
 
 impl LoadView {
-    /// Sample one [`MergeSource`](crate::scheduler::MergeSource) into a
-    /// single-slot view.
-    pub fn of_source<S: crate::scheduler::MergeSource + ?Sized>(source: &S) -> Self {
+    /// Sample every shard of `table` into a view with one slot per shard,
+    /// allowing at most `max_concurrent` merges this round.
+    pub fn of_table<V: Value>(table: &ShardedTable<V>, max_concurrent: usize) -> Self {
         Self {
-            fractions: vec![source.delta_fraction()],
-            inserted: vec![source.inserted_rows()],
-            delta_tuples: source.delta_tuples(),
-            memory: source.memory_report(),
-            max_concurrent: 1,
+            fractions: table.delta_fractions(),
+            inserted: table.inserted_per_shard(),
+            delta_tuples: table.delta_len(),
+            memory: table.memory_report(),
+            max_concurrent,
         }
     }
 }
@@ -398,7 +391,7 @@ struct GovState {
 /// Decisions kept in the trace ring.
 const TRACE_CAP: usize = 64;
 
-/// The feedback-driven grant source both schedulers poll. See the module
+/// The feedback-driven grant source the merge scheduler polls. See the module
 /// docs for the signal model and decision table.
 pub struct ResourceGovernor {
     config: GovernorConfig,
@@ -585,7 +578,7 @@ impl ResourceGovernor {
         // `max_threads` raise would oversubscribe the machine K-fold.
         // Divide the raise across the selected shards — but never below
         // the policy's own per-shard grant, which is the static
-        // schedulers' long-standing concurrency level.
+        // scheduler's long-standing concurrency level.
         if selected.len() > 1 {
             let per_shard = (self.config.max_threads / selected.len()).max(1);
             grant.threads = grant.threads.min(per_shard.max(self.config.policy.threads));
@@ -611,28 +604,6 @@ impl ResourceGovernor {
             signal,
             signals,
         }
-    }
-
-    /// The grant a crash-recovery merge resume runs under — the policy's
-    /// own baseline grant, recorded in the trace with
-    /// [`GrantSignal::Resume`] so operators can see recovery-driven merges
-    /// among the regular rounds. The choice is safe by construction: every
-    /// strategy and thread count produces byte-identical merged partitions,
-    /// so the resumed merge's result does not depend on the grant.
-    pub fn resume_grant(&self, delta_fraction: f64) -> MergeGrant {
-        let grant = self.config.policy.grant();
-        let mut trace = self.trace.lock();
-        if trace.len() == TRACE_CAP {
-            trace.pop_front();
-        }
-        trace.push_back(GrantRecord {
-            strategy: grant.strategy,
-            threads: grant.threads,
-            budget_columns: grant.budget.max_columns(),
-            signal: GrantSignal::Resume,
-            delta_fraction,
-        });
-        grant
     }
 
     /// Report a completed merge back into the current window, so the next

@@ -26,16 +26,17 @@
 //!   merge, brief table locks only at the beginning and end, atomic commit,
 //!   cancellation that leaves the table untouched, and the merge trigger
 //!   policy (`N_D > fraction * N_M`).
-//! * [`shard`] — the scale-out layer beyond the paper's single-table
-//!   evaluation: [`shard::ShardedTable`] hash- or range-partitions rows
-//!   across N online tables, and [`shard::ShardedScheduler`] grants merge
-//!   threads across shards (at most K concurrent merges, worst delta
-//!   fraction first).
+//! * [`shard`] — the table front-end: [`shard::ShardedTable`] hash- or
+//!   range-partitions rows across N online tables (one shard is the
+//!   paper's single table), and [`shard::ShardedScheduler`] is the
+//!   background merge scheduler of Section 3's strategy (b), granting
+//!   merge threads across shards (at most K concurrent merges, worst
+//!   delta fraction first).
 //! * [`governor`] — Section 9's scheduling hook as a feedback loop: the
 //!   [`governor::ResourceGovernor`] samples read pressure (process-wide
 //!   query counters), write pressure (delta growth vs the Section 4
 //!   targets) and memory pressure ([`hyrise_storage::MemoryReport`]) and
-//!   emits the adaptive [`pipeline::MergeGrant`] both schedulers run
+//!   emits the adaptive [`pipeline::MergeGrant`] the scheduler runs
 //!   merges under.
 //! * [`rate`] — Equations 1 and 16: update-rate accounting, plus the
 //!   write-load classification the governor feeds from.
@@ -43,9 +44,10 @@
 //!   the paper's in-memory evaluation (its Section 3 design assumes a
 //!   recoverable differential buffer): an append-only, CRC-checked
 //!   per-shard delta WAL, SAGA-style resumable merge checkpoints, and
-//!   [`recovery::recover`], behind the [`config::TableBuilder`] /
-//!   [`config::Durability`] construction surface and the typed
-//!   [`error::Error`] that makes the mutation paths honestly fallible.
+//!   [`recovery::recover_sharded`], behind the
+//!   [`config::ShardedTableBuilder`] / [`config::Durability`] construction
+//!   surface and the typed [`error::Error`] that makes the mutation paths
+//!   honestly fallible.
 //!
 //! All three algorithms produce bit-identical merged main partitions; the
 //! property tests assert this equivalence.
@@ -64,13 +66,12 @@ pub mod pipeline;
 pub mod pool;
 pub mod rate;
 pub mod recovery;
-pub mod scheduler;
 pub mod shard;
 pub mod stats;
 mod step1;
 mod wal;
 
-pub use config::{Durability, ShardedTableBuilder, TableBuilder, TableConfig};
+pub use config::{Durability, ShardedTableBuilder};
 pub use epoch::{EpochCell, EpochGuard};
 pub use error::{Error, Result};
 pub use governor::{
@@ -90,10 +91,10 @@ pub use pipeline::{
 };
 pub use pool::Pool;
 pub use rate::{classify_update_rate, update_rate, updates_per_second, WriteLoad};
-pub use recovery::{recover, recover_sharded, recover_with};
-pub use scheduler::{MergeOutcome, MergeScheduler, MergeSource, SchedulerStats, SourceScheduler};
+pub use recovery::recover_sharded;
 pub use shard::{
-    ShardBy, ShardMergeStats, ShardRowId, ShardedScheduler, ShardedSchedulerStats, ShardedTable,
+    MergeOutcome, ShardBy, ShardMergeStats, ShardRowId, ShardedScheduler, ShardedSchedulerStats,
+    ShardedTable,
 };
 pub use stats::{ColumnMergeStats, MergeAlgo, MergeOutput, StageTimings, TableMergeStats};
 pub use step1::{merge_dictionaries, merge_dictionaries_into, DictMerge};

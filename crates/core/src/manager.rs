@@ -41,10 +41,10 @@
 
 use crate::epoch::EpochCell;
 use crate::error::{Error, Result};
-use crate::governor::GovernorConfig;
 use crate::pipeline::{
     MergeBudget, MergeGrant, MergePipeline, MergeScratch, MergeStrategy, SpareBank, StepSink,
 };
+use crate::shard::MergeOutcome;
 use crate::stats::TableMergeStats;
 use crate::wal::{self, Wal};
 use hyrise_storage::{
@@ -209,9 +209,6 @@ pub struct OnlineTable<V: Value> {
     /// [`crate::config::Durability::Wal`]. `None` keeps the zero-I/O
     /// in-memory path byte-for-byte unchanged.
     wal: Option<Wal<V>>,
-    /// The governor configuration the table was built with (consumed by
-    /// recovery for its resume grant and by callers spawning schedulers).
-    governor_cfg: Option<GovernorConfig>,
     /// Closes the flip-vs-checkpoint race on durable tables: a delete's
     /// WAL append + in-memory invalidate run under the read side, and the
     /// merge's checkpoint takes the write side before snapshotting
@@ -244,16 +241,8 @@ impl<V: Value> OnlineTable<V> {
             scratch_pool: Mutex::new(Vec::new()),
             bank: Arc::new(SpareBank::new()),
             wal: None,
-            governor_cfg: None,
             flip_gate: RwLock::new(()),
         }
-    }
-
-    /// The unified construction surface: columns, durability, governor —
-    /// see [`crate::config::TableBuilder`]. [`Self::new`] remains the
-    /// infallible in-memory shorthand.
-    pub fn builder() -> crate::config::TableBuilder<V> {
-        crate::config::TableBuilder::new()
     }
 
     /// Share `bank` as this table's spare-buffer bank (builder-style; call
@@ -299,7 +288,6 @@ impl<V: Value> OnlineTable<V> {
             scratch_pool: Mutex::new(Vec::new()),
             bank: Arc::new(SpareBank::new()),
             wal: None,
-            governor_cfg: None,
             flip_gate: RwLock::new(()),
         }
     }
@@ -349,7 +337,6 @@ impl<V: Value> OnlineTable<V> {
             scratch_pool: Mutex::new(Vec::new()),
             bank: Arc::new(SpareBank::new()),
             wal: None,
-            governor_cfg: None,
             flip_gate: RwLock::new(()),
         }
     }
@@ -363,19 +350,6 @@ impl<V: Value> OnlineTable<V> {
     /// Is the table durable (WAL-attached)?
     pub fn is_durable(&self) -> bool {
         self.wal.is_some()
-    }
-
-    /// Record the governor configuration the table was built with.
-    pub(crate) fn set_governor_config(&mut self, cfg: Option<GovernorConfig>) {
-        self.governor_cfg = cfg;
-    }
-
-    /// The governor configuration the table was built with (via
-    /// [`crate::config::TableBuilder::governor`]), if any — callers
-    /// spawning schedulers read it back from here, and recovery derives
-    /// its resume grant from it.
-    pub fn governor_config(&self) -> Option<&GovernorConfig> {
-        self.governor_cfg.as_ref()
     }
 
     /// Direct handle to the shared validity bitmap (recovery replays
@@ -441,15 +415,7 @@ impl<V: Value> OnlineTable<V> {
     }
 
     /// Insert a row; returns its tuple id. Lock-free — see
-    /// [`Self::insert_rows`]. Infallible convenience for in-memory
-    /// tables; a durable table whose WAL append fails panics here — use
-    /// [`Self::try_insert_row`] to handle the error.
-    pub fn insert_row(&self, values: &[V]) -> usize {
-        self.try_insert_row(values)
-            .expect("insert failed (durable table: use try_insert_row)")
-    }
-
-    /// Fallible single-row insert; see [`Self::insert_rows`].
+    /// [`Self::insert_rows`].
     pub fn try_insert_row(&self, values: &[V]) -> Result<usize> {
         Ok(self.insert_rows(std::slice::from_ref(&values))?.start)
     }
@@ -526,29 +492,15 @@ impl<V: Value> OnlineTable<V> {
         }
     }
 
-    /// Insert-only update: insert the new version, invalidate the old row.
-    /// Infallible convenience — see [`Self::try_update_row`].
-    pub fn update_row(&self, old_row: usize, values: &[V]) -> usize {
-        self.try_update_row(old_row, values)
-            .expect("update failed (durable table: use try_update_row)")
-    }
-
-    /// Fallible insert-only update: insert the new version, then
-    /// invalidate the old row (logged as a validity flip).
+    /// Insert-only update: insert the new version, then invalidate the
+    /// old row (logged as a validity flip).
     pub fn try_update_row(&self, old_row: usize, values: &[V]) -> Result<usize> {
         let new_row = self.try_insert_row(values)?;
         self.try_delete_row(old_row)?;
         Ok(new_row)
     }
 
-    /// Invalidate a row. Infallible convenience — see
-    /// [`Self::try_delete_row`].
-    pub fn delete_row(&self, row: usize) {
-        self.try_delete_row(row)
-            .expect("delete failed (durable table: use try_delete_row)")
-    }
-
-    /// Fallible delete: the validity flip is appended to the WAL (and
+    /// Invalidate a row: the validity flip is appended to the WAL (and
     /// synced under `fsync`) **before** the in-memory bit drops —
     /// durable-before-visible, mirroring the insert path.
     pub fn try_delete_row(&self, row: usize) -> Result<()> {
@@ -1106,6 +1058,19 @@ impl<V: Value> OnlineTable<V> {
         Ok(stats)
     }
 
+    /// One background merge under `grant`, summarized for the scheduler
+    /// and the governor. `None` when the merge did not commit (cancelled
+    /// or failed); the scheduler retries on its next poll.
+    pub(crate) fn run_merge(&self, grant: MergeGrant) -> Option<MergeOutcome> {
+        let stats = self.merge_with(grant, None).ok()?;
+        Some(MergeOutcome {
+            tuples_moved: stats.columns.iter().map(|c| c.n_d as u64).sum(),
+            rows_moved: stats.columns.first().map_or(0, |c| c.n_d as u64),
+            wall: stats.t_wall,
+            stages: stats.stage_timings(),
+        })
+    }
+
     /// Merge if the policy says so; returns stats when a merge ran.
     pub fn maybe_merge(&self, policy: &MergePolicy) -> Option<TableMergeStats> {
         if self.should_merge(policy) {
@@ -1127,22 +1092,10 @@ impl<V: Value> OnlineTable<V> {
     /// simply not calling `step`; dropping or [`MergeSession::abort`]ing the
     /// session rolls the *unmerged* columns back (already-committed columns
     /// stay merged — every column individually contains all rows, so the
-    /// table remains consistent).
-    pub fn begin_incremental_merge(&self, threads: usize) -> MergeSession<'_, V> {
-        self.begin_incremental_merge_with(MergeGrant::with_threads(threads))
-    }
-
-    /// As [`Self::begin_incremental_merge`], with an explicit strategy and
-    /// thread grant (the session is inherently a one-column budget, so the
-    /// grant's [`MergeBudget`] is moot). Infallible convenience — see
-    /// [`Self::try_begin_incremental_merge_with`].
-    pub fn begin_incremental_merge_with(&self, grant: MergeGrant) -> MergeSession<'_, V> {
-        self.try_begin_incremental_merge_with(grant)
-            .expect("freeze failed (durable table: use try_begin_incremental_merge_with)")
-    }
-
-    /// Fallible session begin (the freeze rotates the WAL segment on a
-    /// durable table, which can fail).
+    /// table remains consistent). `grant` picks the strategy and threads;
+    /// the session is inherently a one-column budget, so the grant's
+    /// [`MergeBudget`] is moot. Fails when the freeze cannot rotate the
+    /// WAL segment of a durable table.
     ///
     /// Sessions deliberately write **no** merge log and no checkpoint:
     /// their value is bounded intermediate state, and staging every
@@ -1362,7 +1315,7 @@ impl<V: Value> TableSnapshot<V> {
 }
 
 /// An in-flight incremental merge; see
-/// [`OnlineTable::begin_incremental_merge`]. Holds the merge gate, so plain
+/// [`OnlineTable::try_begin_incremental_merge_with`]. Holds the merge gate, so plain
 /// [`OnlineTable::merge`] calls block until the session finishes or drops.
 pub struct MergeSession<'t, V: Value> {
     table: &'t OnlineTable<V>,
@@ -1455,7 +1408,7 @@ mod tests {
         let t = OnlineTable::new(cols);
         for i in 0..rows {
             let row: Vec<u64> = (0..cols as u64).map(|c| i * 10 + c).collect();
-            t.insert_row(&row);
+            t.try_insert_row(&row).unwrap();
         }
         t
     }
@@ -1488,7 +1441,7 @@ mod tests {
         let t = table_with_rows(1, 10);
         t.merge(2, None).unwrap();
         // New inserts after the merge...
-        t.insert_row(&[777]);
+        t.try_insert_row(&[777]).unwrap();
         assert_eq!(t.main_len(), 10);
         assert_eq!(t.delta_len(), 1);
         assert_eq!(t.get(0, 10), 777);
@@ -1510,7 +1463,7 @@ mod tests {
         let writer = std::thread::spawn(move || {
             let mut n = 0u64;
             while !stop2.load(Ordering::Relaxed) {
-                t2.insert_row(&[1_000_000 + n, 2_000_000 + n]);
+                t2.try_insert_row(&[1_000_000 + n, 2_000_000 + n]).unwrap();
                 n += 1;
             }
             n
@@ -1553,7 +1506,7 @@ mod tests {
         // pre-freezing: emulate by cancelling and inserting before retry.
         let cancel = AtomicBool::new(true);
         let _ = t.merge(1, Some(&cancel));
-        t.insert_row(&[12345]);
+        t.try_insert_row(&[12345]).unwrap();
         assert_eq!(t.row_count(), 101);
         assert_eq!(t.get(0, 100), 12345);
         t.merge(1, None).unwrap();
@@ -1564,8 +1517,8 @@ mod tests {
     #[test]
     fn validity_carries_across_merges() {
         let t = table_with_rows(1, 10);
-        let new_row = t.update_row(3, &[999]);
-        t.delete_row(7);
+        let new_row = t.try_update_row(3, &[999]).unwrap();
+        t.try_delete_row(7).unwrap();
         t.merge(2, None).unwrap();
         assert!(!t.is_valid(3));
         assert!(!t.is_valid(7));
@@ -1585,13 +1538,13 @@ mod tests {
         };
         assert!(!t.should_merge(&policy));
         for i in 0..5 {
-            t.insert_row(&[i]);
+            t.try_insert_row(&[i]).unwrap();
         }
         assert!(
             !t.should_merge(&policy),
             "exactly 5% is not strictly greater"
         );
-        t.insert_row(&[6]);
+        t.try_insert_row(&[6]).unwrap();
         assert!(t.should_merge(&policy));
         assert!(t.maybe_merge(&policy).is_some());
         assert_eq!(t.delta_len(), 0);
@@ -1691,12 +1644,23 @@ mod tests {
     }
 
     #[test]
+    fn run_merge_counts_every_column() {
+        let t = table_with_rows(2, 64);
+        let out = t
+            .run_merge(MergeGrant::with_threads(2))
+            .expect("uncancelled merge commits");
+        assert_eq!(out.tuples_moved, 64 * 2, "both columns counted");
+        assert_eq!(out.rows_moved, 64, "rows drained once, not per column");
+        assert_eq!(t.delta_len(), 0);
+    }
+
+    #[test]
     fn memory_report_tracks_the_merge() {
         // Repeating values: dictionary compression must shrink the
         // footprint once the delta folds into the main.
         let t = OnlineTable::<u64>::new(2);
         for i in 0..1_000u64 {
-            t.insert_row(&[i % 50, (i % 50) * 3]);
+            t.try_insert_row(&[i % 50, (i % 50) * 3]).unwrap();
         }
         let before = t.memory_report();
         assert_eq!(before.main_total(), 0, "everything still in the deltas");
@@ -1714,7 +1678,7 @@ mod tests {
         // A shared bank is visible through the builder.
         let bank = Arc::new(crate::pipeline::SpareBank::new());
         let t2 = OnlineTable::<u64>::new(1).with_spare_bank(Arc::clone(&bank));
-        t2.insert_row(&[1]);
+        t2.try_insert_row(&[1]).unwrap();
         t2.merge(1, None).unwrap();
         t2.merge(1, None).unwrap();
         assert!(
@@ -1735,14 +1699,16 @@ mod tests {
         // plus a 50-entry local dictionary.
         let t = OnlineTable::<u64>::new(1);
         for i in 0..20_000u64 {
-            t.insert_row(&[i % 50]);
+            t.try_insert_row(&[i % 50]).unwrap();
         }
         let raw = t.memory_report();
         assert_eq!(raw.delta_values, 20_000 * 8);
         assert_eq!(raw.frozen_codes + raw.frozen_dict, 0);
 
         // The session holds the merge mid-flight: frozen, nothing stepped.
-        let s = t.begin_incremental_merge(1);
+        let s = t
+            .try_begin_incremental_merge_with(MergeGrant::with_threads(1))
+            .unwrap();
         let mid = t.memory_report();
         assert_eq!(mid.delta_values, 0, "sealed rows left the raw tail");
         assert_eq!(
@@ -1781,7 +1747,9 @@ mod tests {
         let b = table_with_rows(4, 2_000);
         a.merge(2, None).unwrap();
         let stats = {
-            let mut s = b.begin_incremental_merge(2);
+            let mut s = b
+                .try_begin_incremental_merge_with(MergeGrant::with_threads(2))
+                .unwrap();
             assert_eq!(s.remaining(), 4);
             assert!(s.step());
             assert_eq!(s.remaining(), 3);
@@ -1798,12 +1766,14 @@ mod tests {
     #[test]
     fn incremental_merge_serves_reads_and_writes_between_steps() {
         let t = table_with_rows(3, 1_000);
-        let mut s = t.begin_incremental_merge(2);
+        let mut s = t
+            .try_begin_incremental_merge_with(MergeGrant::with_threads(2))
+            .unwrap();
         assert!(s.step()); // one column committed, two still frozen
                            // Reads span merged and unmerged columns.
         assert_eq!(t.row(500), vec![5_000, 5_001, 5_002]);
         // Writes land in the second delta.
-        t.insert_row(&[7, 8, 9]);
+        t.try_insert_row(&[7, 8, 9]).unwrap();
         assert_eq!(t.row(1_000), vec![7, 8, 9]);
         let stats = s.finish();
         assert_eq!(stats.columns.len(), 3);
@@ -1820,7 +1790,9 @@ mod tests {
     fn dropped_session_rolls_back_unmerged_columns() {
         let t = table_with_rows(3, 800);
         {
-            let mut s = t.begin_incremental_merge(2);
+            let mut s = t
+                .try_begin_incremental_merge_with(MergeGrant::with_threads(2))
+                .unwrap();
             assert!(s.step()); // column 0 commits
                                // dropped here without finish(): columns 1..3 roll back
         }
@@ -1845,9 +1817,11 @@ mod tests {
     #[test]
     fn aborted_session_is_consistent_with_concurrent_inserts() {
         let t = table_with_rows(2, 500);
-        let mut s = t.begin_incremental_merge(1);
+        let mut s = t
+            .try_begin_incremental_merge_with(MergeGrant::with_threads(1))
+            .unwrap();
         assert!(s.step());
-        t.insert_row(&[111, 222]);
+        t.try_insert_row(&[111, 222]).unwrap();
         s.abort();
         assert_eq!(t.row_count(), 501);
         assert_eq!(t.row(500), vec![111, 222]);
@@ -1861,7 +1835,9 @@ mod tests {
     #[test]
     fn session_holds_the_merge_gate() {
         let t = std::sync::Arc::new(table_with_rows(2, 300));
-        let mut s = t.begin_incremental_merge(1);
+        let mut s = t
+            .try_begin_incremental_merge_with(MergeGrant::with_threads(1))
+            .unwrap();
         s.step();
         // A full merge from another thread must wait for the session.
         let t2 = std::sync::Arc::clone(&t);
@@ -1885,8 +1861,8 @@ mod tests {
             ..MergePolicy::default()
         };
         assert!(!t.should_merge(&policy), "empty table never triggers");
-        t.insert_row(&[1]);
-        t.insert_row(&[2]);
+        t.try_insert_row(&[1]).unwrap();
+        t.try_insert_row(&[2]).unwrap();
         let f = t.delta_fraction();
         assert!(f.is_finite(), "no inf for custom-policy arithmetic");
         assert_eq!(f, 2.0, "empty main reads as N_D / 1");
@@ -1908,7 +1884,7 @@ mod tests {
         let range = a.insert_rows(&rows).unwrap();
         assert_eq!(range, 0..100);
         for r in &rows {
-            b.insert_row(r);
+            b.try_insert_row(r).unwrap();
         }
         assert_eq!(a.row_count(), b.row_count());
         for r in 0..100 {
@@ -1927,14 +1903,14 @@ mod tests {
         let t = table_with_rows(2, 300);
         t.merge(1, None).unwrap();
         for i in 0..50u64 {
-            t.insert_row(&[9_000 + i, 9_100 + i]);
+            t.try_insert_row(&[9_000 + i, 9_100 + i]).unwrap();
         }
         let snap = t.snapshot();
         assert_eq!(snap.row_count(), 350);
         assert_eq!(snap.num_columns(), 2);
         // Later writes are invisible to the snapshot.
-        t.insert_row(&[1, 2]);
-        t.delete_row(0);
+        t.try_insert_row(&[1, 2]).unwrap();
+        t.try_delete_row(0).unwrap();
         assert_eq!(snap.row_count(), 350);
         assert!(snap.is_valid(0), "snapshot validity is frozen");
         assert_eq!(snap.row(7), vec![70, 71]);
@@ -1956,7 +1932,7 @@ mod tests {
         // active-delta copy.
         let t = table_with_rows(2, 1_000);
         t.merge(1, None).unwrap();
-        t.insert_row(&[5, 6]);
+        t.try_insert_row(&[5, 6]).unwrap();
         let a = t.snapshot();
         let b = t.snapshot();
         assert_eq!(a.epoch(), b.epoch());
@@ -1984,7 +1960,7 @@ mod tests {
         let t = std::sync::Arc::new(table_with_rows(1, 4_000));
         t.merge(1, None).unwrap();
         for i in 0..400u64 {
-            t.insert_row(&[50_000 + i]);
+            t.try_insert_row(&[50_000 + i]).unwrap();
         }
         let t2 = std::sync::Arc::clone(&t);
         let h = std::thread::spawn(move || t2.merge(1, None).unwrap());

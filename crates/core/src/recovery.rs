@@ -1,7 +1,10 @@
-//! Crash recovery: rebuild an [`OnlineTable`] (or a
-//! [`crate::shard::ShardedTable`]) from its durable directory.
+//! Crash recovery: [`recover_sharded`] rebuilds a
+//! [`crate::shard::ShardedTable`] from its durable root directory. The
+//! `SHARDS` manifest restores the routing layout, and every `shard-<i>/`
+//! directory is replayed into its [`OnlineTable`] independently.
 //!
-//! What is on disk after a crash, and what each piece becomes:
+//! What is on disk in a shard directory after a crash, and what each
+//! piece becomes:
 //!
 //! | on disk | becomes |
 //! |---|---|
@@ -24,32 +27,19 @@
 //! row value sequence).
 
 use crate::error::{Error, Result};
-use crate::governor::{GovernorConfig, ResourceGovernor};
 use crate::manager::{MergePolicy, OnlineTable};
-use crate::shard::ShardedTable;
+use crate::pipeline::SpareBank;
+use crate::shard::{check_layout, ShardedTable};
 use crate::wal::{self, Wal};
 use hyrise_storage::{MainPartition, Value};
 use std::path::Path;
+use std::sync::Arc;
 
-/// Rebuild the table at `dir` to the exact durable state: byte-identical
+/// Rebuild one shard directory to the exact durable state: byte-identical
 /// dictionaries, packed code words, and validity versus the uncrashed
 /// process. The WAL is re-attached (continuing the live segment, truncated
-/// past any torn record), so the recovered table keeps logging.
-pub fn recover<V: Value>(dir: impl AsRef<Path>) -> Result<OnlineTable<V>> {
-    recover_impl(dir.as_ref(), None)
-}
-
-/// As [`recover`], additionally recording `governor` on the table and
-/// deriving the resumed merge's grant from it
-/// ([`ResourceGovernor::resume_grant`]) instead of the default grant.
-pub fn recover_with<V: Value>(
-    dir: impl AsRef<Path>,
-    governor: GovernorConfig,
-) -> Result<OnlineTable<V>> {
-    recover_impl(dir.as_ref(), Some(governor))
-}
-
-fn recover_impl<V: Value>(dir: &Path, governor: Option<GovernorConfig>) -> Result<OnlineTable<V>> {
+/// past any torn record), so the recovered shard keeps logging.
+fn recover_shard<V: Value>(dir: &Path) -> Result<OnlineTable<V>> {
     let manifest = wal::read_manifest(dir)?;
     if manifest.value_bytes != V::BYTES {
         return Err(Error::recovery(format!(
@@ -214,7 +204,6 @@ fn recover_impl<V: Value>(dir: &Path, governor: Option<GovernorConfig>) -> Resul
         live_base,
         live_clean_len,
     )?));
-    table.set_governor_config(governor.clone());
 
     if resume {
         let m = mckpt.expect("resume implies a merge checkpoint");
@@ -222,11 +211,7 @@ fn recover_impl<V: Value>(dir: &Path, governor: Option<GovernorConfig>) -> Resul
         for col in m.done_cols {
             staged.push((col, wal::read_staged_column::<V>(dir, col)?));
         }
-        let grant = match governor {
-            Some(cfg) => ResourceGovernor::new(cfg).resume_grant(table.delta_fraction()),
-            None => MergePolicy::default().grant(),
-        };
-        table.resume_merge_with(grant, staged)?;
+        table.resume_merge_with(MergePolicy::default().grant(), staged)?;
     }
     Ok(table)
 }
@@ -278,9 +263,13 @@ fn fold_segment_rows<V: Value>(
 
 /// Rebuild a durable [`ShardedTable`] from its root directory: the
 /// `SHARDS` manifest restores the routing layout, and every `shard-<i>/`
-/// directory recovers independently (per-shard logs, per-shard merges). A
-/// multi-shard batch torn by the crash recovers torn — see
-/// [`ShardedTable::insert_rows`] for why that is the honest contract.
+/// directory recovers independently (per-shard logs, per-shard merges) to
+/// its exact durable state, with its WAL re-attached. A multi-shard batch
+/// torn by the crash recovers torn — see [`ShardedTable::insert_rows`]
+/// for why that is the honest contract. A manifest whose layout could not
+/// have been built (zero shards or columns, a key column out of range,
+/// unsorted range bounds or a bound count that does not match the shard
+/// count) is an [`Error::Recovery`].
 pub fn recover_sharded<V: Value>(root: impl AsRef<Path>) -> Result<ShardedTable<V>> {
     let root = root.as_ref();
     let m = wal::read_sharded_manifest::<V>(root)?;
@@ -292,10 +281,16 @@ pub fn recover_sharded<V: Value>(root: impl AsRef<Path>) -> Result<ShardedTable<
             V::BYTES
         )));
     }
-    let mut shards = Vec::with_capacity(m.n_shards);
-    let bank = std::sync::Arc::new(crate::pipeline::SpareBank::new());
+    check_layout(&m.by, m.n_shards, m.key_col, m.n_cols).map_err(|why| {
+        Error::recovery(format!(
+            "sharded manifest at {} is inconsistent: {why}",
+            root.display()
+        ))
+    })?;
+    let mut shards = Vec::new();
+    let bank = Arc::new(SpareBank::new());
     for i in 0..m.n_shards {
-        let shard: OnlineTable<V> = recover(wal::shard_dir(root, i))?;
+        let shard: OnlineTable<V> = recover_shard(&wal::shard_dir(root, i))?;
         if shard.num_columns() != m.n_cols {
             return Err(Error::recovery(format!(
                 "shard {i} has {} columns, sharded manifest says {}",
@@ -303,7 +298,7 @@ pub fn recover_sharded<V: Value>(root: impl AsRef<Path>) -> Result<ShardedTable<
                 m.n_cols
             )));
         }
-        shards.push(shard.with_spare_bank(std::sync::Arc::clone(&bank)));
+        shards.push(shard.with_spare_bank(Arc::clone(&bank)));
     }
     Ok(ShardedTable::from_parts(shards, m.by, m.key_col))
 }
@@ -362,7 +357,7 @@ mod tests {
             log.chunk_done(&[0]).unwrap();
         }
 
-        let back: OnlineTable<u64> = recover(&dir).unwrap();
+        let back: OnlineTable<u64> = recover_shard(&dir).unwrap();
         let reference = OnlineTable::<u64>::new(2);
         reference.insert_rows(&data).unwrap();
         reference.merge(1, None).unwrap();
@@ -386,7 +381,7 @@ mod tests {
         // The resumed merge checkpointed: a second recovery replays from
         // the checkpoint alone (segments truncated) and still matches.
         drop(back);
-        let again: OnlineTable<u64> = recover(&dir).unwrap();
+        let again: OnlineTable<u64> = recover_shard(&dir).unwrap();
         assert_eq!(again.main_len(), 300);
         assert_eq!(
             again.snapshot().col(0).main().dictionary().values(),
@@ -418,7 +413,7 @@ mod tests {
             w.seal_and_rotate(100).unwrap();
             let _log = MergeLog::begin(&dir, 42, 2).unwrap(); // wrong frozen_end
         }
-        let back: OnlineTable<u64> = recover(&dir).unwrap();
+        let back: OnlineTable<u64> = recover_shard(&dir).unwrap();
         assert_eq!(back.row_count(), 100);
         assert_eq!(back.main_len(), 0, "no resume: rows stay in the delta");
         assert_eq!(back.delta_len(), 100);
@@ -429,6 +424,66 @@ mod tests {
         // And the table is fully usable: the next merge absorbs the rows.
         back.merge(1, None).unwrap();
         assert_eq!(back.main_len(), 100);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A sharded manifest passes its CRC but describes a layout the
+    /// builder would refuse: recovery must return an error instead of
+    /// building a table that panics or misroutes rows.
+    #[test]
+    fn inconsistent_sharded_manifest_is_an_error() {
+        use crate::shard::ShardBy;
+        let dir = temp_dir("bad-manifest");
+        // Real shard directories, so only the manifest can be at fault.
+        drop(
+            ShardedTable::<u64>::builder()
+                .shards(2)
+                .columns(2)
+                .durability(crate::config::Durability::Wal {
+                    dir: dir.clone(),
+                    fsync: false,
+                })
+                .build()
+                .unwrap(),
+        );
+        let layouts = [
+            ("zero shards", 0, 2, 0, ShardBy::Hash),
+            ("zero columns", 2, 0, 0, ShardBy::Hash),
+            ("key column out of range", 2, 2, 2, ShardBy::Hash),
+            (
+                "unsorted bounds",
+                3,
+                2,
+                0,
+                ShardBy::Range(vec![200u64, 100]),
+            ),
+            (
+                "bound count mismatch",
+                2,
+                2,
+                0,
+                ShardBy::Range(vec![100, 200]),
+            ),
+        ];
+        for (what, n_shards, n_cols, key_col, by) in layouts {
+            wal::write_sharded_manifest(
+                &dir,
+                &wal::ShardedManifest {
+                    n_shards,
+                    n_cols,
+                    value_bytes: 8,
+                    fsync: false,
+                    key_col,
+                    by,
+                },
+            )
+            .unwrap();
+            let err = recover_sharded::<u64>(&dir).map(|_| ()).unwrap_err();
+            assert!(
+                matches!(err, Error::Recovery { .. }),
+                "{what}: expected a recovery error, got {err}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -15,19 +15,16 @@
 //!   batched [`ShardedTable::insert_rows`], per-shard
 //!   [`TableSnapshot`]s for lock-free scans (the fan-out operators live in
 //!   `hyrise-query`).
-//! * [`ShardedScheduler`] — generalizes the single-table scheduler: at most
-//!   `max_concurrent` merges in flight, shards picked by highest delta
-//!   fraction first, pause/resume globally.
-//! * [`ShardedTable`] also implements [`MergeSource`] (merge the worst
-//!   shard), so the plain [`crate::scheduler::SourceScheduler`] can drive a
-//!   sharded table one merge at a time when concurrency is not wanted.
+//! * [`ShardedScheduler`] — the background merge scheduler (Section 3's
+//!   strategy (b)): at most `max_concurrent` merges in flight, shards
+//!   picked by highest delta fraction first, pause/resume globally. A
+//!   1-shard table is the paper's single-table case.
 
 use crate::error::Result;
 use crate::governor::{GovernorConfig, GrantRecord, LoadView, ResourceGovernor};
 use crate::manager::{MergePolicy, OnlineTable, TableSnapshot};
 use crate::pipeline::{MergeGrant, SpareBank};
-use crate::scheduler::{MergeOutcome, MergeSource};
-use crate::stats::TableMergeStats;
+use crate::stats::{StageTimings, TableMergeStats};
 use hyrise_storage::{MemoryReport, Value};
 use parking_lot::Mutex;
 use std::hash::{Hash, Hasher};
@@ -124,6 +121,44 @@ pub enum ShardBy<V> {
     Range(Vec<V>),
 }
 
+/// Check a sharded layout: at least one column and one shard, a key
+/// column in range and, for range partitioning, strictly ascending bounds
+/// that imply exactly `n_shards` shards. The builder and recovery (whose
+/// manifest comes from disk) both call this before
+/// [`ShardedTable::from_parts`]; routing relies on every condition.
+/// Returns the reason a layout is rejected.
+pub(crate) fn check_layout<V: Value>(
+    by: &ShardBy<V>,
+    n_shards: usize,
+    key_col: usize,
+    n_cols: usize,
+) -> std::result::Result<(), String> {
+    if n_cols == 0 {
+        return Err("a table needs at least one column".into());
+    }
+    if key_col >= n_cols {
+        return Err(format!(
+            "key column {key_col} out of range for {n_cols} columns"
+        ));
+    }
+    if n_shards == 0 {
+        return Err("a sharded table needs at least one shard".into());
+    }
+    if let ShardBy::Range(bounds) = by {
+        if !bounds.windows(2).all(|w| w[0] < w[1]) {
+            return Err("range bounds must be strictly ascending".into());
+        }
+        if bounds.len() + 1 != n_shards {
+            return Err(format!(
+                "{} range bounds imply {} shards, not {n_shards}",
+                bounds.len(),
+                bounds.len() + 1
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// N [`OnlineTable`] shards behind one facade: rows are routed by a key
 /// column, reads fan out, and every shard merges independently.
 pub struct ShardedTable<V: Value> {
@@ -133,14 +168,15 @@ pub struct ShardedTable<V: Value> {
 }
 
 impl<V: Value> ShardedTable<V> {
-    /// The unified construction surface: shard count or range bounds, key
-    /// column, columns, durability, governor — see
+    /// The one construction surface: shard count or range bounds, key
+    /// column, columns, durability — see
     /// [`crate::config::ShardedTableBuilder`].
     pub fn builder() -> crate::config::ShardedTableBuilder<V> {
         crate::config::ShardedTableBuilder::new()
     }
 
-    /// Assemble a validated sharded table (builder/recovery back door).
+    /// Assemble a sharded table whose layout passed [`check_layout`]
+    /// (builder/recovery back door).
     /// All shards already share one [`SpareBank`] when built by the
     /// builder, so a merge on any shard can reuse buffers retired by any
     /// other.
@@ -202,13 +238,7 @@ impl<V: Value> ShardedTable<V> {
     }
 
     /// Insert one row, routed by its key; returns its global address.
-    /// Infallible convenience — see [`Self::try_insert_row`].
-    pub fn insert_row(&self, values: &[V]) -> ShardRowId {
-        self.try_insert_row(values)
-            .expect("insert failed (durable table: use try_insert_row)")
-    }
-
-    /// Fallible single-row insert (the shard's WAL append can fail).
+    /// Fails when the shard's WAL append fails.
     pub fn try_insert_row(&self, values: &[V]) -> Result<ShardRowId> {
         let _write = CUT_CLOCK.begin_write();
         let shard = self.shard_of(values);
@@ -272,14 +302,7 @@ impl<V: Value> ShardedTable<V> {
 
     /// Insert-only update: the new version is routed by its *new* key (it
     /// may land on a different shard than `old`), then the old row is
-    /// invalidated. Returns the new version's address. Infallible
-    /// convenience — see [`Self::try_update_row`].
-    pub fn update_row(&self, old: ShardRowId, values: &[V]) -> ShardRowId {
-        self.try_update_row(old, values)
-            .expect("update failed (durable table: use try_update_row)")
-    }
-
-    /// Fallible insert-only update.
+    /// invalidated. Returns the new version's address.
     pub fn try_update_row(&self, old: ShardRowId, values: &[V]) -> Result<ShardRowId> {
         // One ticket across both shards: a cut never sees the new version
         // without the old one's invalidation (or vice versa).
@@ -293,14 +316,7 @@ impl<V: Value> ShardedTable<V> {
         Ok(new_id)
     }
 
-    /// Invalidate a row. Infallible convenience — see
-    /// [`Self::try_delete_row`].
-    pub fn delete_row(&self, id: ShardRowId) {
-        self.try_delete_row(id)
-            .expect("delete failed (durable table: use try_delete_row)")
-    }
-
-    /// Fallible delete: the validity flip is logged on the owning shard
+    /// Invalidate a row: the validity flip is logged on the owning shard
     /// before the in-memory bit drops.
     pub fn try_delete_row(&self, id: ShardRowId) -> Result<()> {
         let _write = CUT_CLOCK.begin_write();
@@ -429,36 +445,23 @@ impl<V: Value> ShardedTable<V> {
     }
 }
 
-/// Merging a sharded table as a single [`MergeSource`] means: report the
-/// worst shard's ratio, merge the worst shard. This lets the plain
-/// [`crate::scheduler::SourceScheduler`] keep a sharded table bounded one
-/// merge at a time; [`ShardedScheduler`] is the concurrent upgrade.
-impl<V: Value> MergeSource for ShardedTable<V> {
-    fn delta_fraction(&self) -> f64 {
-        self.max_delta_fraction()
-    }
-
-    fn delta_tuples(&self) -> usize {
-        self.delta_len()
-    }
-
-    fn memory_report(&self) -> MemoryReport {
-        ShardedTable::memory_report(self)
-    }
-
-    fn inserted_rows(&self) -> u64 {
-        self.shards.iter().map(|s| s.inserted_rows()).sum()
-    }
-
-    fn run_merge(&self, grant: MergeGrant) -> Option<MergeOutcome> {
-        let fractions = self.delta_fractions();
-        let worst = fractions
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))?
-            .0;
-        self.shards[worst].run_merge(grant)
-    }
+/// What one completed background merge moved and cost.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MergeOutcome {
+    /// Tuples moved from delta partitions into main partitions (per-column
+    /// sum).
+    pub tuples_moved: u64,
+    /// Delta **rows** drained by the merge (`tuples_moved / N_C` — every
+    /// column drains the same rows). This is the unit the governor's
+    /// write-pressure window corrects with: delta lengths are row counts,
+    /// so crediting the per-column sum back would overstate the insert
+    /// rate by the column count.
+    pub rows_moved: u64,
+    /// Wall time of the merge.
+    pub wall: Duration,
+    /// Per-stage breakdown (summed over columns) — what the paper's
+    /// Figure 7/8 stage-level plots are built from.
+    pub stages: StageTimings,
 }
 
 /// One shard's cumulative merge accounting, with the per-stage breakdown
@@ -492,7 +495,8 @@ pub struct ShardedSchedulerStats {
     /// Tuples moved from delta to main, across all shards and columns.
     pub tuples_merged: u64,
     /// Total milliseconds spent inside merges (sums across concurrent
-    /// merges, so it can exceed wall time).
+    /// merges, so it can exceed wall time). Accumulated in microseconds,
+    /// so sub-millisecond merges count too.
     pub merge_millis: u64,
     /// Per-shard merge counts with per-stage timing breakdown.
     pub per_shard: Vec<ShardMergeStats>,
@@ -509,8 +513,7 @@ pub struct ShardedSchedulerStats {
 /// runs those merges concurrently — the multi-table realization of the
 /// paper's "scheduling algorithm \[that\] could constantly analyze the
 /// available bandwidth and thus adjust the degree of parallelization"
-/// (Section 9). The decision core is the same [`ResourceGovernor::plan`]
-/// the single-table [`crate::scheduler::SourceScheduler`] polls.
+/// (Section 9). The decision core is [`ResourceGovernor::plan`].
 /// Pause/resume apply globally across all shards.
 pub struct ShardedScheduler<V: Value> {
     table: Arc<ShardedTable<V>>,
@@ -520,7 +523,7 @@ pub struct ShardedScheduler<V: Value> {
     paused: Arc<AtomicBool>,
     merges: Arc<AtomicU64>,
     tuples: Arc<AtomicU64>,
-    millis: Arc<AtomicU64>,
+    micros: Arc<AtomicU64>,
     per_shard: Arc<Vec<ShardCells>>,
     handle: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
@@ -589,7 +592,7 @@ impl<V: Value> ShardedScheduler<V> {
         let paused = Arc::new(AtomicBool::new(false));
         let merges = Arc::new(AtomicU64::new(0));
         let tuples = Arc::new(AtomicU64::new(0));
-        let millis = Arc::new(AtomicU64::new(0));
+        let micros = Arc::new(AtomicU64::new(0));
         let per_shard: Arc<Vec<ShardCells>> = Arc::new(
             (0..table.num_shards())
                 .map(|_| ShardCells::default())
@@ -603,7 +606,7 @@ impl<V: Value> ShardedScheduler<V> {
             let paused = Arc::clone(&paused);
             let merges = Arc::clone(&merges);
             let tuples = Arc::clone(&tuples);
-            let millis = Arc::clone(&millis);
+            let micros = Arc::clone(&micros);
             let per_shard = Arc::clone(&per_shard);
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
@@ -611,14 +614,7 @@ impl<V: Value> ShardedScheduler<V> {
                         // One governor round: sample pressure, rank shards
                         // by delta fraction × pressure, emit the adaptive
                         // grant for the chosen few.
-                        let view = LoadView {
-                            fractions: table.delta_fractions(),
-                            inserted: table.inserted_per_shard(),
-                            delta_tuples: table.delta_len(),
-                            memory: table.memory_report(),
-                            max_concurrent,
-                        };
-                        let plan = governor.plan(&view);
+                        let plan = governor.plan(&LoadView::of_table(&table, max_concurrent));
                         if !plan.selected.is_empty() {
                             // Grant merge threads to the chosen shards; the
                             // scope is the at-most-K concurrency bound.
@@ -626,14 +622,14 @@ impl<V: Value> ShardedScheduler<V> {
                                 for &i in &plan.selected {
                                     let shard = Arc::clone(table.shard(i));
                                     let grant = plan.grant;
-                                    let (merges, tuples, millis, per_shard, governor) =
-                                        (&merges, &tuples, &millis, &per_shard, &governor);
+                                    let (merges, tuples, micros, per_shard, governor) =
+                                        (&merges, &tuples, &micros, &per_shard, &governor);
                                     s.spawn(move || {
                                         if let Some(out) = shard.run_merge(grant) {
                                             merges.fetch_add(1, Ordering::Relaxed);
                                             tuples.fetch_add(out.tuples_moved, Ordering::Relaxed);
-                                            millis.fetch_add(
-                                                out.wall.as_millis() as u64,
+                                            micros.fetch_add(
+                                                out.wall.as_micros() as u64,
                                                 Ordering::Relaxed,
                                             );
                                             per_shard[i].record(&out);
@@ -656,7 +652,7 @@ impl<V: Value> ShardedScheduler<V> {
             paused,
             merges,
             tuples,
-            millis,
+            micros,
             per_shard,
             handle: Mutex::new(Some(handle)),
         }
@@ -699,7 +695,7 @@ impl<V: Value> ShardedScheduler<V> {
         ShardedSchedulerStats {
             merges: self.merges.load(Ordering::Relaxed),
             tuples_merged: self.tuples.load(Ordering::Relaxed),
-            merge_millis: self.millis.load(Ordering::Relaxed),
+            merge_millis: self.micros.load(Ordering::Relaxed) / 1_000,
             per_shard: self.per_shard.iter().map(|c| c.snapshot()).collect(),
             grants: self.governor.recent_grants(),
         }
@@ -724,7 +720,6 @@ impl<V: Value> Drop for ShardedScheduler<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::SourceScheduler;
 
     fn row(i: u64, cols: usize) -> Vec<u64> {
         (0..cols as u64).map(|c| i * 10 + c).collect()
@@ -779,7 +774,9 @@ mod tests {
             .columns(2)
             .build()
             .unwrap();
-        let ids: Vec<ShardRowId> = (0..300u64).map(|i| t.insert_row(&row(i, 2))).collect();
+        let ids: Vec<ShardRowId> = (0..300u64)
+            .map(|i| t.try_insert_row(&row(i, 2)).unwrap())
+            .collect();
         assert_eq!(t.row_count(), 300);
         for (i, id) in ids.iter().enumerate() {
             assert_eq!(t.row(*id), row(i as u64, 2), "row {i}");
@@ -801,7 +798,8 @@ mod tests {
             .unwrap();
         let rows: Vec<Vec<u64>> = (0..500u64).map(|i| row(i, 3)).collect();
         let batch_ids = a.insert_rows(&rows).unwrap();
-        let single_ids: Vec<ShardRowId> = rows.iter().map(|r| b.insert_row(r)).collect();
+        let single_ids: Vec<ShardRowId> =
+            rows.iter().map(|r| b.try_insert_row(r).unwrap()).collect();
         assert_eq!(batch_ids, single_ids, "same routing, same local ids");
         for (r, id) in rows.iter().zip(&batch_ids) {
             assert_eq!(&a.row(*id), r);
@@ -818,9 +816,9 @@ mod tests {
             .key_col(0)
             .build()
             .unwrap();
-        let old = t.insert_row(&[5, 50]);
+        let old = t.try_insert_row(&[5, 50]).unwrap();
         assert_eq!(old.shard, 0);
-        let new = t.update_row(old, &[2_000, 50]);
+        let new = t.try_update_row(old, &[2_000, 50]).unwrap();
         assert_eq!(new.shard, 1, "new key routes to the other shard");
         assert!(!t.is_valid(old), "old version invalidated");
         assert!(t.is_valid(new));
@@ -848,48 +846,6 @@ mod tests {
     }
 
     #[test]
-    fn worst_shard_first_via_merge_source() {
-        let t = ShardedTable::<u64>::builder()
-            .partitioning(ShardBy::Range(vec![10_000]))
-            .columns(1)
-            .build()
-            .unwrap();
-        // Shard 0: big main, small delta. Shard 1: small main, big delta.
-        t.insert_rows(&(0..1_000u64).map(|i| vec![i]).collect::<Vec<_>>())
-            .unwrap();
-        t.merge_all(1).unwrap();
-        t.insert_rows(&(0..10u64).map(|i| vec![i]).collect::<Vec<_>>())
-            .unwrap();
-        t.insert_rows(&(0..500u64).map(|i| vec![20_000 + i]).collect::<Vec<_>>())
-            .unwrap();
-        let f = t.delta_fractions();
-        assert!(f[1] > f[0]);
-        assert_eq!(t.max_delta_fraction(), f[1]);
-        // One MergeSource merge hits the worst shard (1) only.
-        let out = t.run_merge(MergeGrant::with_threads(1)).unwrap();
-        assert_eq!(out.tuples_moved, 500);
-        assert_eq!(t.shard(1).delta_len(), 0);
-        assert_eq!(t.shard(0).delta_len(), 10, "shard 0 untouched");
-        // And the generic single-source scheduler can drain the rest.
-        let policy = MergePolicy {
-            delta_fraction: 0.001,
-            threads: 1,
-            ..MergePolicy::default()
-        };
-        let sched = SourceScheduler::spawn(Arc::new(t), policy, Duration::from_millis(1));
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while sched.table().delta_len() > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        sched.shutdown();
-        assert_eq!(
-            sched.table().delta_len(),
-            0,
-            "generic scheduler drains shards"
-        );
-    }
-
-    #[test]
     fn sharded_scheduler_keeps_all_shards_bounded() {
         let t = Arc::new(
             ShardedTable::<u64>::builder()
@@ -913,7 +869,7 @@ mod tests {
                 let t = Arc::clone(&t);
                 s.spawn(move || {
                     for i in 0..10_000u64 {
-                        t.insert_row(&row(1_000_000 * (w + 1) + i, 2));
+                        t.try_insert_row(&row(1_000_000 * (w + 1) + i, 2)).unwrap();
                     }
                 });
             }
@@ -980,6 +936,237 @@ mod tests {
         assert!(sched.stats().merges > before, "resume re-enables merging");
     }
 
+    /// An in-memory 1-shard table — the paper's single-table case.
+    fn one_shard(cols: usize) -> Arc<ShardedTable<u64>> {
+        Arc::new(ShardedTable::builder().columns(cols).build().unwrap())
+    }
+
+    fn insert_pairs(table: &ShardedTable<u64>, n: u64, tag: u64) {
+        let rows: Vec<[u64; 2]> = (0..n).map(|i| [tag + i, tag + i + 1]).collect();
+        table.insert_rows(&rows).unwrap();
+    }
+
+    #[test]
+    fn scheduler_merges_when_triggered() {
+        let table = one_shard(2);
+        insert_pairs(&table, 10_000, 0);
+        table.merge_all(2).unwrap();
+
+        let policy = MergePolicy {
+            delta_fraction: 0.01,
+            threads: 2,
+            ..MergePolicy::default()
+        };
+        let sched =
+            ShardedScheduler::spawn(Arc::clone(&table), policy, 1, Duration::from_millis(5));
+        // Push past the trigger and wait for the daemon.
+        insert_pairs(&table, 500, 1_000_000);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while sched.stats().merges == 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        sched.shutdown();
+        let stats = sched.stats();
+        assert!(stats.merges >= 1, "daemon must have merged");
+        assert!(
+            stats.tuples_merged >= 500 * 2,
+            "both columns' delta tuples counted"
+        );
+        assert_eq!(table.delta_len(), 0);
+        assert_eq!(table.row_count(), 10_500);
+    }
+
+    #[test]
+    fn paused_scheduler_does_not_merge() {
+        let table = one_shard(2);
+        insert_pairs(&table, 1_000, 0); // fraction N_D/1: always triggered
+        let policy = MergePolicy {
+            delta_fraction: 0.01,
+            threads: 1,
+            ..MergePolicy::default()
+        };
+        let sched =
+            ShardedScheduler::spawn(Arc::clone(&table), policy, 1, Duration::from_millis(2));
+        sched.pause();
+        assert!(sched.is_paused());
+        // Give the daemon time it would have used to merge.
+        std::thread::sleep(Duration::from_millis(100));
+        // It may have completed at most one merge started before the pause.
+        let before = sched.stats().merges;
+        assert!(
+            before <= 1,
+            "paused scheduler must not keep merging, ran {before}"
+        );
+        // Refill the delta while paused: if the daemon won the race and merged
+        // everything before the pause landed, resume would otherwise have
+        // nothing to do and the test would hang on an empty delta.
+        insert_pairs(&table, 1_000, 2_000_000);
+        sched.resume();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while sched.stats().merges == before && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        sched.shutdown();
+        assert!(
+            sched.stats().merges > before,
+            "resume must re-enable merging"
+        );
+    }
+
+    #[test]
+    fn drop_stops_the_daemon() {
+        let table = one_shard(2);
+        insert_pairs(&table, 100, 0);
+        let weak = {
+            let sched = ShardedScheduler::spawn(
+                Arc::clone(&table),
+                MergePolicy::default(),
+                1,
+                Duration::from_millis(1),
+            );
+            let _ = sched.stats();
+            Arc::downgrade(sched.table())
+        };
+        // Scheduler dropped: its table Arc released; ours remains.
+        assert!(weak.upgrade().is_some());
+        drop(table);
+        assert!(
+            weak.upgrade().is_none(),
+            "daemon thread must have released the table"
+        );
+    }
+
+    #[test]
+    fn scheduler_under_concurrent_writes() {
+        let table = one_shard(2);
+        insert_pairs(&table, 5_000, 0);
+        table.merge_all(2).unwrap();
+        let policy = MergePolicy {
+            delta_fraction: 0.02,
+            threads: 2,
+            ..MergePolicy::default()
+        };
+        let sched =
+            ShardedScheduler::spawn(Arc::clone(&table), policy, 1, Duration::from_millis(1));
+        let writer = {
+            let table = Arc::clone(&table);
+            std::thread::spawn(move || {
+                for i in 0..20_000u64 {
+                    table.try_insert_row(&[i, i + 1]).unwrap();
+                }
+            })
+        };
+        writer.join().unwrap();
+        // Let the scheduler drain the tail.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while table.max_delta_fraction() > policy.delta_fraction
+            && std::time::Instant::now() < deadline
+        {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        sched.shutdown();
+        assert_eq!(
+            table.row_count(),
+            25_000,
+            "no rows lost under daemon merging"
+        );
+        assert!(
+            sched.stats().merges > 1,
+            "sustained writes force repeated merges"
+        );
+        assert!(
+            table.max_delta_fraction() <= policy.delta_fraction,
+            "scheduler must keep the delta bounded"
+        );
+    }
+
+    #[test]
+    fn governed_scheduler_records_grants_and_shrinks_budget_under_pressure() {
+        use crate::governor::GrantSignal;
+        let table = one_shard(2);
+        insert_pairs(&table, 4_000, 0);
+        // A soft limit of one byte: every round is memory-pressured, so
+        // every grant must carry the shrunk pressure budget.
+        let config = GovernorConfig::from_policy(MergePolicy {
+            delta_fraction: 0.01,
+            threads: 2,
+            ..MergePolicy::default()
+        })
+        .with_memory_soft_limit(1);
+        let sched = ShardedScheduler::spawn_governed(
+            Arc::clone(&table),
+            ResourceGovernor::new(config),
+            1,
+            Duration::from_millis(2),
+        );
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while sched.stats().merges == 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        sched.shutdown();
+        let stats = sched.stats();
+        assert!(stats.merges >= 1, "governed daemon must merge");
+        assert!(!stats.grants.is_empty(), "grant decisions are traced");
+        let g = stats.grants.last().unwrap();
+        assert_eq!(g.signal, GrantSignal::MemoryPressure);
+        assert_eq!(
+            g.budget_columns,
+            sched.governor().config().pressure_budget.max_columns(),
+            "memory pressure shrinks the merge budget"
+        );
+        assert_eq!(table.delta_len(), 0, "pressure never blocks draining");
+    }
+
+    #[test]
+    fn merge_millis_counts_sub_millisecond_merges() {
+        // Many one-row merges of a tiny 1-column table, each far below a
+        // millisecond: together they must still show up in merge_millis.
+        // One thread keeps every merge's stages inside its wall time.
+        let table = one_shard(1);
+        let config = GovernorConfig::from_policy(MergePolicy {
+            delta_fraction: 0.0,
+            threads: 1,
+            ..MergePolicy::default()
+        })
+        .with_max_threads(1);
+        let sched = ShardedScheduler::spawn_governed(
+            Arc::clone(&table),
+            ResourceGovernor::new(config),
+            1,
+            Duration::from_millis(1),
+        );
+        let stage_micros = |s: &ShardedSchedulerStats| -> u64 {
+            s.per_shard.iter().map(|c| c.total_micros()).sum()
+        };
+        const STAGE_TARGET_MICROS: u64 = 3_000;
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        let mut next = 0u64;
+        while stage_micros(&sched.stats()) < STAGE_TARGET_MICROS
+            && std::time::Instant::now() < deadline
+        {
+            let before = sched.stats().merges;
+            table.try_insert_row(&[next]).unwrap();
+            next += 1;
+            while sched.stats().merges == before && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        }
+        sched.shutdown();
+        let stats = sched.stats();
+        let stage = stage_micros(&stats);
+        assert!(
+            stage >= STAGE_TARGET_MICROS,
+            "only {stage} us of stage time in {} merges",
+            stats.merges
+        );
+        assert!(
+            stats.merge_millis >= stage / 1_000,
+            "merge_millis {} must cover the {stage} us the stages took over {} merges",
+            stats.merge_millis,
+            stats.merges
+        );
+    }
+
     #[test]
     fn snapshots_cover_every_shard_consistently() {
         let t = ShardedTable::<u64>::builder()
@@ -990,7 +1177,7 @@ mod tests {
         let ids = t
             .insert_rows(&(0..600u64).map(|i| row(i, 2)).collect::<Vec<_>>())
             .unwrap();
-        t.delete_row(ids[5]);
+        t.try_delete_row(ids[5]).unwrap();
         let snaps = t.snapshots();
         assert_eq!(snaps.len(), 3);
         let total: usize = snaps.iter().map(|s| s.row_count()).sum();
@@ -998,7 +1185,7 @@ mod tests {
         let valid: usize = snaps.iter().map(|s| s.validity().valid_count()).sum();
         assert_eq!(valid, 599);
         // Writes after the snapshot are invisible.
-        t.insert_row(&row(9_999, 2));
+        t.try_insert_row(&row(9_999, 2)).unwrap();
         assert_eq!(snaps.iter().map(|s| s.row_count()).sum::<usize>(), 600);
         // Every inserted row is present in exactly its shard's snapshot.
         for (i, id) in ids.iter().enumerate().step_by(83) {

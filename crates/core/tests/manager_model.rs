@@ -2,7 +2,7 @@
 //! inserts, updates, deletes, full merges, incremental merge steps and
 //! cancelled merges must behave exactly like a plain vector-of-rows model.
 
-use hyrise_core::OnlineTable;
+use hyrise_core::{MergeGrant, OnlineTable};
 use proptest::prelude::*;
 use std::sync::atomic::AtomicBool;
 
@@ -55,7 +55,7 @@ proptest! {
             match op {
                 Op::Insert(seed) => {
                     let row = row_of(seed);
-                    let id = table.insert_row(&row);
+                    let id = table.try_insert_row(&row).unwrap();
                     model.rows.push(row);
                     model.valid.push(true);
                     prop_assert_eq!(id, model.rows.len() - 1);
@@ -64,7 +64,7 @@ proptest! {
                     if model.rows.is_empty() { continue; }
                     let old = row_choice as usize % model.rows.len();
                     let row = row_of(seed);
-                    let id = table.update_row(old, &row);
+                    let id = table.try_update_row(old, &row).unwrap();
                     model.rows.push(row);
                     model.valid.push(true);
                     model.valid[old] = false;
@@ -73,7 +73,7 @@ proptest! {
                 Op::Delete { row_choice } => {
                     if model.rows.is_empty() { continue; }
                     let victim = row_choice as usize % model.rows.len();
-                    table.delete_row(victim);
+                    table.try_delete_row(victim).unwrap();
                     model.valid[victim] = false;
                 }
                 Op::Merge => {
@@ -85,14 +85,14 @@ proptest! {
                     let _ = table.merge(2, Some(&cancel));
                 }
                 Op::IncrementalSteps(n) => {
-                    let mut s = table.begin_incremental_merge(1);
+                    let mut s = table.try_begin_incremental_merge_with(MergeGrant::with_threads(1)).unwrap();
                     for _ in 0..n {
                         if !s.step() { break; }
                     }
                     // dropped here: unmerged columns roll back
                 }
                 Op::AbortedIncremental(n) => {
-                    let mut s = table.begin_incremental_merge(1);
+                    let mut s = table.try_begin_incremental_merge_with(MergeGrant::with_threads(1)).unwrap();
                     for _ in 0..n {
                         if !s.step() { break; }
                     }

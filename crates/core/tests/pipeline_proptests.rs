@@ -102,7 +102,7 @@ proptest! {
                     let r = row(seed);
                     let mut last = 0;
                     for t in &tables {
-                        last = t.insert_row(&r);
+                        last = t.try_insert_row(&r).unwrap();
                     }
                     ids.push(last);
                 }
@@ -114,7 +114,7 @@ proptest! {
                     let r = row(seed);
                     let mut last = 0;
                     for t in &tables {
-                        last = t.update_row(i, &r);
+                        last = t.try_update_row(i, &r).unwrap();
                     }
                     ids.push(last);
                 }
@@ -124,7 +124,7 @@ proptest! {
                     }
                     let i = ids[(target as usize) % ids.len()];
                     for t in &tables {
-                        t.delete_row(i);
+                        t.try_delete_row(i).unwrap();
                     }
                 }
                 Op::Merge => {
@@ -179,7 +179,7 @@ proptest! {
                     let r = row(seed);
                     let mut last = ShardRowId { shard: 0, row: 0 };
                     for t in &tables {
-                        last = t.insert_row(&r);
+                        last = t.try_insert_row(&r).unwrap();
                     }
                     ids.push(last);
                 }
@@ -191,7 +191,7 @@ proptest! {
                     let r = row(seed);
                     let mut last = ShardRowId { shard: 0, row: 0 };
                     for t in &tables {
-                        last = t.update_row(i, &r);
+                        last = t.try_update_row(i, &r).unwrap();
                     }
                     ids.push(last);
                 }
@@ -201,7 +201,7 @@ proptest! {
                     }
                     let i = ids[(target as usize) % ids.len()];
                     for t in &tables {
-                        t.delete_row(i);
+                        t.try_delete_row(i).unwrap();
                     }
                 }
                 Op::Merge => {
@@ -250,7 +250,9 @@ proptest! {
         ops in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 1..160),
     ) {
         let reference = OnlineTable::<u64>::new(COLS);
-        let governed = OnlineTable::<u64>::new(COLS);
+        // The governor observes a 1-shard table; the ops drive its shard.
+        let governed_table = ShardedTable::<u64>::builder().columns(COLS).build().unwrap();
+        let governed = governed_table.shard(0);
         // Governor knobs drawn by proptest: a kilobyte-scale soft limit
         // (or none) flips MemoryPressure on and off mid-run as the table
         // grows and merges; the busy threshold of 0 reads/s forces the
@@ -274,8 +276,8 @@ proptest! {
             match decode(code, a, b) {
                 Op::Insert { seed } => {
                     let r = row(seed);
-                    reference.insert_row(&r);
-                    ids.push(governed.insert_row(&r));
+                    reference.try_insert_row(&r).unwrap();
+                    ids.push(governed.try_insert_row(&r).unwrap());
                 }
                 Op::Update { target, seed } => {
                     if ids.is_empty() {
@@ -283,34 +285,34 @@ proptest! {
                     }
                     let i = ids[(target as usize) % ids.len()];
                     let r = row(seed);
-                    reference.update_row(i, &r);
-                    ids.push(governed.update_row(i, &r));
+                    reference.try_update_row(i, &r).unwrap();
+                    ids.push(governed.try_update_row(i, &r).unwrap());
                 }
                 Op::Delete { target } => {
                     if ids.is_empty() {
                         continue;
                     }
                     let i = ids[(target as usize) % ids.len()];
-                    reference.delete_row(i);
-                    governed.delete_row(i);
+                    reference.try_delete_row(i).unwrap();
+                    governed.try_delete_row(i).unwrap();
                 }
                 Op::Merge => {
                     reference.merge_with(reference_grant, None).unwrap();
                     // Merge unconditionally (selection gates *when*, the
                     // property is about *what* the grant produces) with
                     // whatever grant the governor's live signals yield.
-                    let plan = gov.plan(&LoadView::of_source(&governed));
+                    let plan = gov.plan(&LoadView::of_table(&governed_table, 1));
                     governed.merge_with(plan.grant, None).unwrap();
                 }
             }
         }
         reference.merge_with(reference_grant, None).unwrap();
-        let final_plan = gov.plan(&LoadView::of_source(&governed));
+        let final_plan = gov.plan(&LoadView::of_table(&governed_table, 1));
         governed.merge_with(final_plan.grant, None).unwrap();
         prop_assert_eq!(governed.delta_len(), 0);
         assert_tables_identical(
             &reference,
-            &governed,
+            governed,
             &format!("governor grants, last = {:?}", final_plan.grant),
         );
     }

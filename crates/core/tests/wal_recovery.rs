@@ -2,13 +2,15 @@
 //! durable table, mutate it, drop it cold (no shutdown hook exists — a
 //! drop *is* a `kill -9` as far as the on-disk state is concerned, since
 //! every record reaches the file before its rows publish), and
-//! [`recover`] must rebuild the exact state. File-level fault injection
+//! [`recover_sharded`] must rebuild the exact state. Most tests run on a
+//! 1-shard table and compare its only shard. File-level fault injection
 //! (truncated tails, flipped bytes) runs against the real segment files.
 
 use hyrise_core::shard::ShardedTable;
-use hyrise_core::{recover, recover_sharded, Durability, Error, OnlineTable};
+use hyrise_core::{recover_sharded, Durability, Error, OnlineTable};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const COLS: usize = 3;
 
@@ -37,15 +39,22 @@ impl Drop for Scratch {
     }
 }
 
-fn durable(dir: &Path, fsync: bool) -> OnlineTable<u64> {
-    OnlineTable::builder()
+/// A durable 1-shard table at `dir`; the tests drive its only shard.
+fn durable(dir: &Path, fsync: bool) -> Arc<OnlineTable<u64>> {
+    let table = ShardedTable::<u64>::builder()
         .columns(COLS)
         .durability(Durability::Wal {
             dir: dir.to_path_buf(),
             fsync,
         })
         .build()
-        .unwrap()
+        .unwrap();
+    Arc::clone(table.shard(0))
+}
+
+/// Recover the 1-shard table at `dir` and return its only shard.
+fn reopen(dir: &Path) -> Result<Arc<OnlineTable<u64>>, Error> {
+    recover_sharded::<u64>(dir).map(|t| Arc::clone(t.shard(0)))
 }
 
 fn row(seed: u64) -> Vec<u64> {
@@ -103,7 +112,7 @@ fn recover_replays_inserts_deletes_and_merges() {
         model.try_delete_row(450).unwrap();
         // dropped cold: no flush hook runs
     }
-    let back: OnlineTable<u64> = recover(scratch.path()).unwrap();
+    let back = reopen(scratch.path()).unwrap();
     assert!(back.is_durable(), "recovered table keeps logging");
     assert_state_identical(&back, &model);
 }
@@ -123,14 +132,14 @@ fn recovered_table_keeps_accepting_writes_and_recovering() {
     {
         // First recovery continues the live segment: new writes must land
         // after the replayed ones and survive a second crash.
-        let t: OnlineTable<u64> = recover(scratch.path()).unwrap();
+        let t = reopen(scratch.path()).unwrap();
         let more: Vec<Vec<u64>> = (100..180u64).map(row).collect();
         t.insert_rows(&more).unwrap();
         model.insert_rows(&more).unwrap();
         t.merge(1, None).unwrap();
         model.merge(1, None).unwrap();
     }
-    let back: OnlineTable<u64> = recover(scratch.path()).unwrap();
+    let back = reopen(scratch.path()).unwrap();
     assert_state_identical(&back, &model);
 }
 
@@ -146,13 +155,14 @@ fn fsync_mode_round_trips_too() {
         t.try_delete_row(5).unwrap();
         model.try_delete_row(5).unwrap();
     }
-    let back: OnlineTable<u64> = recover(scratch.path()).unwrap();
+    let back = reopen(scratch.path()).unwrap();
     assert_state_identical(&back, &model);
 }
 
-/// The newest (live) segment file in the directory.
+/// The newest (live) segment file of the only shard of the table at
+/// `dir`.
 fn live_segment(dir: &Path) -> PathBuf {
-    let mut segs: Vec<PathBuf> = std::fs::read_dir(dir)
+    let mut segs: Vec<PathBuf> = std::fs::read_dir(dir.join("shard-0"))
         .unwrap()
         .map(|e| e.unwrap().path())
         .filter(|p| {
@@ -182,7 +192,7 @@ fn torn_final_record_recovers_the_clean_prefix() {
     f.set_len(len - 7).unwrap();
     drop(f);
 
-    let back: OnlineTable<u64> = recover(scratch.path()).unwrap();
+    let back = reopen(scratch.path()).unwrap();
     // The final 2-row batch is gone; every batch before it survives whole.
     assert_eq!(back.row_count(), 8, "clean prefix only");
     for r in 0..8 {
@@ -192,7 +202,7 @@ fn torn_final_record_recovers_the_clean_prefix() {
     // replace the torn bytes and survive the next recovery.
     back.insert_rows(&[row(999)]).unwrap();
     drop(back);
-    let again: OnlineTable<u64> = recover(scratch.path()).unwrap();
+    let again = reopen(scratch.path()).unwrap();
     assert_eq!(again.row_count(), 9);
     assert_eq!(again.get(1, 8), row(999)[1]);
 }
@@ -214,7 +224,7 @@ fn corrupt_record_mid_log_is_a_typed_error() {
     bytes[24] ^= 0xFF;
     std::fs::write(&seg, &bytes).unwrap();
 
-    let err = recover::<u64>(scratch.path()).map(|_| ()).unwrap_err();
+    let err = reopen(scratch.path()).map(|_| ()).unwrap_err();
     assert!(
         matches!(err, Error::Corrupt { .. }),
         "CRC mismatch must surface as Error::Corrupt, got: {err}"
@@ -224,7 +234,7 @@ fn corrupt_record_mid_log_is_a_typed_error() {
 #[test]
 fn recovering_a_missing_table_is_a_typed_error() {
     let scratch = Scratch::new("missing");
-    let err = recover::<u64>(scratch.path()).map(|_| ()).unwrap_err();
+    let err = reopen(scratch.path()).map(|_| ()).unwrap_err();
     assert!(
         matches!(err, Error::Io { .. }),
         "no manifest on disk, got: {err}"
@@ -333,7 +343,7 @@ proptest! {
                 }
             }
         }
-        let back: OnlineTable<u64> = recover(scratch.path()).unwrap();
+        let back = reopen(scratch.path()).unwrap();
         assert_state_identical(&back, &model);
     }
 }

@@ -94,8 +94,7 @@ impl<V: Copy> Query<V> {
     /// use hyrise_core::OnlineTable;
     ///
     /// let t = OnlineTable::<u64>::new(2);
-    /// t.insert_row(&[1, 10]);
-    /// t.insert_row(&[2, 20]);
+    /// t.insert_rows(&[[1, 10], [2, 20]]).unwrap();
     /// assert_eq!(Query::scan(0).count().run(&t).count(), 2);
     /// ```
     pub fn scan(col: usize) -> Self {
@@ -116,9 +115,7 @@ impl<V: Copy> Query<V> {
     /// use hyrise_core::OnlineTable;
     ///
     /// let t = OnlineTable::<u64>::new(1);
-    /// for v in [5u64, 7, 5] {
-    ///     t.insert_row(&[v]);
-    /// }
+    /// t.insert_rows(&[[5u64], [7], [5]]).unwrap();
     /// assert_eq!(Query::scan(0).eq(5).run(&t).into_rows(), vec![0, 2]);
     /// ```
     pub fn eq(self, v: V) -> Self {
@@ -134,9 +131,7 @@ impl<V: Copy> Query<V> {
     /// use hyrise_core::OnlineTable;
     ///
     /// let t = OnlineTable::<u64>::new(1);
-    /// for v in [5u64, 7, 9, 11] {
-    ///     t.insert_row(&[v]);
-    /// }
+    /// t.insert_rows(&[[5u64], [7], [9], [11]]).unwrap();
     /// assert_eq!(Query::scan(0).between(6, 10).run(&t).into_rows(), vec![1, 2]);
     /// ```
     pub fn between(mut self, lo: V, hi: V) -> Self {
@@ -157,9 +152,7 @@ impl<V: Copy> Query<V> {
     /// use hyrise_core::OnlineTable;
     ///
     /// let t = OnlineTable::<u64>::new(2);
-    /// t.insert_row(&[1, 10]);
-    /// t.insert_row(&[1, 99]);
-    /// t.insert_row(&[2, 10]);
+    /// t.insert_rows(&[[1, 10], [1, 99], [2, 10]]).unwrap();
     /// let rows = Query::scan(0).eq(1).and(1).eq(10).run(&t).into_rows();
     /// assert_eq!(rows, vec![0]);
     /// ```
@@ -176,8 +169,7 @@ impl<V: Copy> Query<V> {
     /// use hyrise_core::OnlineTable;
     ///
     /// let t = OnlineTable::<u64>::new(2);
-    /// t.insert_row(&[1, 10]);
-    /// t.insert_row(&[2, 20]);
+    /// t.insert_rows(&[[1, 10], [2, 20]]).unwrap();
     /// let rows = Query::scan(0).eq(2).project(&[1, 0]).run(&t).into_projected();
     /// assert_eq!(rows, vec![vec![20, 2]]);
     /// ```
@@ -193,9 +185,7 @@ impl<V: Copy> Query<V> {
     /// use hyrise_core::OnlineTable;
     ///
     /// let t = OnlineTable::<u64>::new(1);
-    /// for v in [5u64, 7, 9] {
-    ///     t.insert_row(&[v]);
-    /// }
+    /// t.insert_rows(&[[5u64], [7], [9]]).unwrap();
     /// assert_eq!(Query::scan(0).between(6, 10).sum(0).run(&t).sum(), 16);
     /// ```
     pub fn sum(mut self, col: usize) -> Self {
@@ -211,9 +201,7 @@ impl<V: Copy> Query<V> {
     /// use hyrise_core::OnlineTable;
     ///
     /// let t = OnlineTable::<u64>::new(1);
-    /// for v in [5u64, 7, 9] {
-    ///     t.insert_row(&[v]);
-    /// }
+    /// t.insert_rows(&[[5u64], [7], [9]]).unwrap();
     /// assert_eq!(Query::scan(0).min_max(0).run(&t).min_max(), Some((5, 9)));
     /// ```
     pub fn min_max(mut self, col: usize) -> Self {

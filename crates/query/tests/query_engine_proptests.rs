@@ -82,9 +82,9 @@ fn apply_all(
         match decode(code, a, b) {
             Op::Insert { seed } => {
                 let r = row(seed);
-                let sid = single.insert_row(&r);
+                let sid = single.try_insert_row(&r).unwrap();
                 assert_eq!(sid, model.rows.len(), "single-table ids = model indices");
-                shard_ids.push(sharded.insert_row(&r));
+                shard_ids.push(sharded.try_insert_row(&r).unwrap());
                 model.rows.push((r, true));
             }
             Op::Update { target, seed } => {
@@ -93,8 +93,8 @@ fn apply_all(
                 }
                 let i = (target as usize) % model.rows.len();
                 let r = row(seed);
-                single.update_row(i, &r);
-                shard_ids.push(sharded.update_row(shard_ids[i], &r));
+                single.try_update_row(i, &r).unwrap();
+                shard_ids.push(sharded.try_update_row(shard_ids[i], &r).unwrap());
                 model.rows[i].1 = false;
                 model.rows.push((r, true));
             }
@@ -103,8 +103,8 @@ fn apply_all(
                     continue;
                 }
                 let i = (target as usize) % model.rows.len();
-                single.delete_row(i);
-                sharded.delete_row(shard_ids[i]);
+                single.try_delete_row(i).unwrap();
+                sharded.try_delete_row(shard_ids[i]).unwrap();
                 model.rows[i].1 = false;
             }
             Op::Merge { shard, single_too } => {

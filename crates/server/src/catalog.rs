@@ -196,7 +196,6 @@ impl Catalog {
             .shards(spec.shards as usize)
             .columns(spec.columns as usize)
             .durability(durability)
-            .governor(self.cfg.governor.clone())
             .build()?;
         let scheduler = ShardedScheduler::spawn_governed(
             Arc::new(table),

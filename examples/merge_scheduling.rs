@@ -23,10 +23,10 @@ fn main() {
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
     let table = Arc::new(OnlineTable::<u64>::new(8));
     println!("loading 600K rows x 8 columns into the delta...");
-    for i in 0..600_000u64 {
-        let row: Vec<u64> = (0..8u64).map(|c| (i * 131 + c * 17) % 50_000).collect();
-        table.insert_row(&row);
-    }
+    let rows: Vec<Vec<u64>> = (0..600_000u64)
+        .map(|i| (0..8u64).map(|c| (i * 131 + c * 17) % 50_000).collect())
+        .collect();
+    table.insert_rows(&rows).expect("in-memory insert");
 
     // --- 1. Cancellation: the scheduler changes its mind. ---
     println!("\n[1] start a merge, cancel it almost immediately:");
@@ -56,9 +56,7 @@ fn main() {
         let rows: Vec<Vec<u64>> = (0..table.row_count()).map(|r| table.row(r)).collect();
         let build = || {
             let t = OnlineTable::<u64>::new(8);
-            for r in &rows {
-                t.insert_row(r);
-            }
+            t.insert_rows(&rows).expect("in-memory insert");
             t
         };
 

@@ -5,12 +5,13 @@
 //! Run with: `cargo run --release --example mixed_workload -- [seconds]`
 //!
 //! Spawns reader/writer threads sampling query types from the Figure 1 OLTP
-//! mix against an [`OnlineTable`], plus a background merge thread driven by
-//! the Section 4 trigger policy (merge when N_D > 5% N_M). Reports
-//! sustained query and update throughput and the number of merges that ran
-//! — updates keep flowing *during* merges, which is the point.
+//! mix against a 1-shard table, plus a [`ShardedScheduler`] merging in the
+//! background under the Section 4 trigger policy (merge when N_D > 5% N_M).
+//! Reports sustained query and update throughput and the number of merges
+//! that ran — updates keep flowing *during* merges, which is the point.
 
-use hyrise::merge::{MergePolicy, OnlineTable};
+use hyrise::merge::MergePolicy;
+use hyrise::shard::{ShardedScheduler, ShardedTable};
 use hyrise::workload::{QueryMix, QueryType};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,46 +29,42 @@ fn main() {
     let workers = 4usize;
 
     // Bulk-load 200K rows, merge them into main as the starting state.
-    let table = Arc::new(OnlineTable::<u64>::new(COLS));
-    for i in 0..200_000u64 {
-        let row: Vec<u64> = (0..COLS as u64).map(|c| (i * 31 + c) % 10_000).collect();
-        table.insert_row(&row);
-    }
-    table.merge(8, None).expect("initial merge");
+    let sharded = Arc::new(
+        ShardedTable::<u64>::builder()
+            .columns(COLS)
+            .build()
+            .expect("in-memory table"),
+    );
+    let rows: Vec<Vec<u64>> = (0..200_000u64)
+        .map(|i| (0..COLS as u64).map(|c| (i * 31 + c) % 10_000).collect())
+        .collect();
+    sharded.insert_rows(&rows).expect("in-memory insert");
+    sharded.merge_all(8).expect("initial merge");
+    let table = sharded.shard(0);
     println!(
         "loaded {} rows into main; running the Figure-1 OLTP mix for {seconds}s...",
         table.main_len()
     );
 
+    // Background merge scheduler: the Section 3 strategy (b), constantly
+    // merging in the background when the trigger fires.
+    let policy = MergePolicy {
+        delta_fraction: 0.05,
+        threads: 4,
+        ..MergePolicy::default()
+    };
+    let scheduler =
+        ShardedScheduler::spawn(Arc::clone(&sharded), policy, 1, Duration::from_millis(10));
+
     let stop = Arc::new(AtomicBool::new(false));
     let reads = Arc::new(AtomicU64::new(0));
     let writes = Arc::new(AtomicU64::new(0));
-    let merges = Arc::new(AtomicU64::new(0));
 
     std::thread::scope(|s| {
-        // Background merge scheduler: the Section 3 strategy (b), constantly
-        // merging in the background when the trigger fires.
-        {
-            let (table, stop, merges) =
-                (Arc::clone(&table), Arc::clone(&stop), Arc::clone(&merges));
-            s.spawn(move || {
-                let policy = MergePolicy {
-                    delta_fraction: 0.05,
-                    threads: 4,
-                    ..MergePolicy::default()
-                };
-                while !stop.load(Ordering::Relaxed) {
-                    if table.maybe_merge(&policy).is_some() {
-                        merges.fetch_add(1, Ordering::Relaxed);
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            });
-        }
         // Mixed-workload workers.
         for w in 0..workers {
             let (table, stop, reads, writes) = (
-                Arc::clone(&table),
+                Arc::clone(table),
                 Arc::clone(&stop),
                 Arc::clone(&reads),
                 Arc::clone(&writes),
@@ -99,19 +96,19 @@ fn main() {
                             let i = writes.fetch_add(1, Ordering::Relaxed);
                             let row: Vec<u64> =
                                 (0..COLS as u64).map(|c| (i * 7 + c) % 10_000).collect();
-                            table.insert_row(&row);
+                            table.try_insert_row(&row).expect("in-memory insert");
                         }
                         QueryType::Modification => {
                             let i = writes.fetch_add(1, Ordering::Relaxed);
                             let old = rng.gen_range(0..rows);
                             let row: Vec<u64> =
                                 (0..COLS as u64).map(|c| (i * 11 + c) % 10_000).collect();
-                            table.update_row(old, &row);
+                            table.try_update_row(old, &row).expect("in-memory update");
                         }
                         QueryType::Delete => {
                             writes.fetch_add(1, Ordering::Relaxed);
                             let r = rng.gen_range(0..rows);
-                            table.delete_row(r);
+                            table.try_delete_row(r).expect("in-memory delete");
                         }
                     }
                 }
@@ -125,10 +122,12 @@ fn main() {
         let _ = elapsed;
     });
 
+    scheduler.shutdown();
+
     let elapsed = seconds as f64;
     let r = reads.load(Ordering::Relaxed);
     let w = writes.load(Ordering::Relaxed);
-    let m = merges.load(Ordering::Relaxed);
+    let m = scheduler.stats().merges;
     println!("\nresults over {elapsed:.0}s with {workers} workers:");
     println!(
         "  read queries : {:>10}  ({:>9.0}/s)",

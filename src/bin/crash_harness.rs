@@ -13,18 +13,18 @@
 //!   the row value sequence, never on where the kill landed;
 //! * the recovered table must keep accepting writes.
 //!
-//! Rounds alternate the fsync policy (buffered appends survive process
-//! death — that is the buffered-WAL contract) and include a sharded
-//! round, where each shard independently sits at the acked boundary or
-//! one op past it (multi-shard batches may tear; see
-//! `ShardedTable::insert_rows`).
+//! Single-table rounds run on a 1-shard table and alternate the fsync
+//! policy (buffered appends survive process death — that is the
+//! buffered-WAL contract). Sharded rounds run on 3 shards, where each
+//! shard independently sits at the acked boundary or one op past it
+//! (multi-shard batches may tear; see `ShardedTable::insert_rows`).
 //!
 //! Environment: `CRASH_ROUNDS` (default 6) rounds per mode set;
 //! `CRASH_SEED` overrides the base seed.
 
 use hyrise::merge::{OnlineTable, TableMergeStats};
 use hyrise::shard::ShardedTable;
-use hyrise::{recover, recover_sharded, Durability};
+use hyrise::{recover_sharded, Durability};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -124,31 +124,22 @@ fn run_child(dir: &Path, seed: u64, fsync: bool, sharded: bool) -> ! {
             acks.get_ref().sync_data().expect("ack sync");
         }
     };
-    let durability = Durability::Wal {
-        dir: dir.to_path_buf(),
-        fsync,
-    };
-    if sharded {
-        let t = ShardedTable::<u64>::builder()
-            .shards(3)
-            .columns(COLS)
-            .durability(durability)
-            .build()
-            .expect("build sharded");
-        for i in 0.. {
+    let t = ShardedTable::<u64>::builder()
+        .shards(if sharded { 3 } else { 1 })
+        .columns(COLS)
+        .durability(Durability::Wal {
+            dir: dir.to_path_buf(),
+            fsync,
+        })
+        .build()
+        .expect("build table");
+    for i in 0.. {
+        if sharded {
             apply_sharded(&t, seed, i).expect("sharded op");
-            ack(i);
+        } else {
+            apply_single(t.shard(0), seed, i).expect("single op");
         }
-    } else {
-        let t = OnlineTable::<u64>::builder()
-            .columns(COLS)
-            .durability(durability)
-            .build()
-            .expect("build table");
-        for i in 0.. {
-            apply_single(&t, seed, i).expect("single op");
-            ack(i);
-        }
+        ack(i);
     }
     unreachable!("the op stream is infinite; the parent kills us");
 }
@@ -195,7 +186,8 @@ fn assert_bytes_identical(a: &OnlineTable<u64>, b: &OnlineTable<u64>, what: &str
     );
 }
 
-/// One single-table round: spawn, kill, recover, verify.
+/// One single-table round on a 1-shard table: spawn, kill, recover,
+/// verify.
 fn round_single(exe: &Path, scratch: &Path, seed: u64, fsync: bool, delay_ms: u64) {
     let dir = scratch.join(format!("single-{seed:x}"));
     let mut child = Command::new(exe)
@@ -213,7 +205,8 @@ fn round_single(exe: &Path, scratch: &Path, seed: u64, fsync: bool, delay_ms: u6
     child.wait().expect("reap child");
 
     let acked = read_acks(&dir);
-    let recovered: OnlineTable<u64> = recover(&dir).expect("recover after kill");
+    let table = recover_sharded::<u64>(&dir).expect("recover after kill");
+    let recovered = table.shard(0);
 
     // The model replays acked ops; the recovered state must equal that,
     // or that plus exactly the one op that was in flight at kill time.
@@ -221,7 +214,7 @@ fn round_single(exe: &Path, scratch: &Path, seed: u64, fsync: bool, delay_ms: u6
     for i in 0..acked {
         apply_single(&model, seed, i).expect("model op");
     }
-    let got = logical_state(&recovered);
+    let got = logical_state(recovered);
     if got != logical_state(&model) {
         apply_single(&model, seed, acked).expect("model slack op");
         assert_eq!(
@@ -231,15 +224,15 @@ fn round_single(exe: &Path, scratch: &Path, seed: u64, fsync: bool, delay_ms: u6
              ops nor one op past them"
         );
     }
-    assert_bytes_identical(&recovered, &model, "single");
+    assert_bytes_identical(recovered, &model, "single");
 
     // Still alive: the recovered table keeps logging and recovering.
     recovered
         .insert_rows(&[row(0xDEAD)])
         .expect("post-crash insert");
     let n = recovered.row_count();
-    drop(recovered);
-    let again: OnlineTable<u64> = recover(&dir).expect("second recovery");
+    drop(table);
+    let again = recover_sharded::<u64>(&dir).expect("second recovery");
     assert_eq!(again.row_count(), n, "post-crash write survived");
     println!("  single fsync={fsync} delay={delay_ms}ms: acked={acked}, rows={n} ok");
 }

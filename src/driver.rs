@@ -11,7 +11,7 @@
 //! snapshots, all while a `ShardedScheduler` (owned by the caller) keeps
 //! each shard's delta bounded.
 
-use crate::merge::{OnlineTable, Result, TableConfig};
+use crate::merge::{OnlineTable, Result};
 use crate::shard::{ShardRowId, ShardedTable};
 use crate::workload::{Operation, ShardedWorkload, UpdateStream};
 use hyrise_query::Query;
@@ -64,13 +64,14 @@ pub fn row_for_seed<V: Value>(seed: u64, cols: usize) -> Vec<V> {
 
 /// Execute `n` operations from `stream` against `table`. Row indices from
 /// the stream are clamped to the live table (the stream's logical row count
-/// tracks inserts but the driver is authoritative).
+/// tracks inserts but the driver is authoritative). Fails on the first
+/// write a durable table cannot log.
 pub fn drive<V: Value, R: Rng>(
     table: &OnlineTable<V>,
     stream: &mut UpdateStream,
     rng: &mut R,
     n: usize,
-) -> DriverStats {
+) -> Result<DriverStats> {
     let cols = table.num_columns();
     let mut stats = DriverStats::default();
     for _ in 0..n {
@@ -118,45 +119,29 @@ pub fn drive<V: Value, R: Rng>(
                 stats.ranges += 1;
             }
             Operation::Insert { seed } => {
-                table.insert_row(&row_for_seed::<V>(seed, cols));
+                table.try_insert_row(&row_for_seed::<V>(seed, cols))?;
                 stats.inserts += 1;
             }
             Operation::Update { row, seed } => {
                 let rows = table.row_count();
                 if rows > 0 {
-                    table.update_row((row as usize).min(rows - 1), &row_for_seed::<V>(seed, cols));
+                    table.try_update_row(
+                        (row as usize).min(rows - 1),
+                        &row_for_seed::<V>(seed, cols),
+                    )?;
                     stats.updates += 1;
                 }
             }
             Operation::Delete { row } => {
                 let rows = table.row_count();
                 if rows > 0 {
-                    table.delete_row((row as usize).min(rows - 1));
+                    table.try_delete_row((row as usize).min(rows - 1))?;
                     stats.deletes += 1;
                 }
             }
         }
     }
-    stats
-}
-
-/// Build the hash-sharded table a [`ShardedWorkload`] scenario runs
-/// against, from one [`TableConfig`]: shard count from the workload,
-/// columns/durability/governor from the config. With
-/// [`crate::merge::Durability::Wal`] each shard logs into its own
-/// sub-directory under the configured root.
-pub fn sharded_table_for<V: Value>(
-    workload: &ShardedWorkload,
-    config: TableConfig,
-) -> Result<ShardedTable<V>> {
-    let mut b = ShardedTable::<V>::builder()
-        .shards(workload.shards)
-        .columns(config.columns)
-        .durability(config.durability);
-    if let Some(g) = config.governor {
-        b = b.governor(g);
-    }
-    b.build()
+    Ok(stats)
 }
 
 /// Preload a [`ShardedTable`] with the scenario's initial rows (batched
@@ -194,12 +179,13 @@ pub fn preload_sharded_with<V: Value>(
 /// replaying its own deterministic stream against the shared facade.
 /// `preloaded` are the ids returned by [`preload_sharded`]; workers address
 /// reads/updates against them plus their own appended rows. Returns one
-/// [`DriverStats`] per worker.
+/// [`DriverStats`] per worker, or the first error a worker's write met on
+/// a durable table.
 pub fn drive_sharded<V: Value>(
     table: &ShardedTable<V>,
     workload: &ShardedWorkload,
     preloaded: &[ShardRowId],
-) -> Vec<DriverStats> {
+) -> Result<Vec<DriverStats>> {
     let cols = table.num_columns();
     let base: Arc<Vec<ShardRowId>> = Arc::new(preloaded.to_vec());
     std::thread::scope(|s| {
@@ -270,24 +256,29 @@ pub fn drive_sharded<V: Value>(
                                 stats.ranges += 1;
                             }
                             Operation::Insert { seed } => {
-                                own.push(table.insert_row(&row_for_seed::<V>(tag | seed, cols)));
+                                own.push(
+                                    table.try_insert_row(&row_for_seed::<V>(tag | seed, cols))?,
+                                );
                                 stats.inserts += 1;
                             }
                             Operation::Update { row, seed } => {
                                 let Some(old) = pick(row, &own) else { continue };
                                 own.push(
-                                    table.update_row(old, &row_for_seed::<V>(tag | seed, cols)),
+                                    table.try_update_row(
+                                        old,
+                                        &row_for_seed::<V>(tag | seed, cols),
+                                    )?,
                                 );
                                 stats.updates += 1;
                             }
                             Operation::Delete { row } => {
                                 let Some(id) = pick(row, &own) else { continue };
-                                table.delete_row(id);
+                                table.try_delete_row(id)?;
                                 stats.deletes += 1;
                             }
                         }
                     }
-                    stats
+                    Ok(stats)
                 })
             })
             .collect();
@@ -308,11 +299,11 @@ mod tests {
     fn driven_table(ops: usize) -> (OnlineTable<u64>, DriverStats) {
         let table = OnlineTable::<u64>::new(3);
         for i in 0..2_000u64 {
-            table.insert_row(&row_for_seed(i, 3));
+            table.try_insert_row(&row_for_seed(i, 3)).unwrap();
         }
         let mut stream = UpdateStream::new(QueryMix::oltp(), 2_000);
         let mut rng = StdRng::seed_from_u64(5);
-        let stats = drive(&table, &mut stream, &mut rng, ops);
+        let stats = drive(&table, &mut stream, &mut rng, ops).unwrap();
         (table, stats)
     }
 
@@ -342,19 +333,16 @@ mod tests {
     #[test]
     fn sharded_driver_executes_the_mix_with_exact_accounting() {
         let w = ShardedWorkload::oltp(4).with_volumes(2_000, 3_000);
-        let table = sharded_table_for::<u64>(
-            &w,
-            TableConfig {
-                columns: 3,
-                ..TableConfig::default()
-            },
-        )
-        .unwrap();
+        let table = ShardedTable::<u64>::builder()
+            .shards(w.shards)
+            .columns(3)
+            .build()
+            .unwrap();
         let ids = preload_sharded(&table, &w).unwrap();
         assert_eq!(ids.len(), 8_000);
         assert_eq!(table.main_len(), 8_000, "preload quiesces into main");
 
-        let stats = drive_sharded(&table, &w, &ids);
+        let stats = drive_sharded(&table, &w, &ids).unwrap();
         assert_eq!(stats.len(), 4);
         let ops: u64 = stats.iter().map(|s| s.reads() + s.writes()).sum();
         assert_eq!(ops, 12_000);
@@ -412,7 +400,7 @@ mod tests {
         let w = ShardedWorkload::oltp(2).with_volumes(0, 500);
         let ids = preload_sharded(&table, &w).unwrap();
         assert!(ids.is_empty());
-        let stats = drive_sharded(&table, &w, &ids);
+        let stats = drive_sharded(&table, &w, &ids).unwrap();
         // Row-addressed ops before the first insert are skipped, not panics;
         // inserts still execute and later reads can proceed.
         assert!(stats.iter().map(|s| s.inserts).sum::<u64>() > 0);
@@ -436,6 +424,7 @@ mod tests {
             let w = ShardedWorkload::oltp(3).with_volumes(1_000, 2_000);
             let ids = preload_sharded(&table, &w).unwrap();
             drive_sharded(&table, &w, &ids)
+                .unwrap()
                 .into_iter()
                 .map(|s| {
                     (
@@ -451,14 +440,14 @@ mod tests {
     fn driving_across_merges_preserves_results() {
         let table = OnlineTable::<u64>::new(3);
         for i in 0..2_000u64 {
-            table.insert_row(&row_for_seed(i, 3));
+            table.try_insert_row(&row_for_seed(i, 3)).unwrap();
         }
         let mut stream = UpdateStream::new(QueryMix::oltp(), 2_000);
         let mut rng = StdRng::seed_from_u64(5);
         // Interleave driving and merging; final row count must balance.
         let mut total = DriverStats::default();
         for _ in 0..4 {
-            let s = drive(&table, &mut stream, &mut rng, 2_500);
+            let s = drive(&table, &mut stream, &mut rng, 2_500).unwrap();
             total.inserts += s.inserts;
             total.updates += s.updates;
             table.merge(2, None).unwrap();

@@ -12,9 +12,10 @@
 //! * [`storage`] — dictionaries, main/delta partitions, attributes, tables.
 //! * [`merge`] — the merge algorithms (naive, optimized, parallel), the
 //!   analytical cost model and the online merge manager.
-//! * [`shard`] — the scale-out layer: [`shard::ShardedTable`] partitions
-//!   rows across N online tables and [`shard::ShardedScheduler`] grants
-//!   merge threads across shards.
+//! * [`shard`] — the table front-end: [`shard::ShardedTable`] partitions
+//!   rows across N online tables (one shard is the paper's single table)
+//!   and [`shard::ShardedScheduler`] merges them in the background,
+//!   granting merge threads across shards.
 //! * [`query`] — the unified query layer: the [`query::Query`] builder and
 //!   the one [`query::Executor`] trait behind every backend (attribute,
 //!   snapshot, online table, sharded table, heterogeneous table), with
@@ -26,8 +27,8 @@
 //!   [`server::Client`] library and the [`server::drive_swarm`] driver.
 //!
 //! Durability lives in [`merge`]: build a crash-durable table with
-//! [`TableBuilder`] + [`Durability::Wal`], and reopen it after a crash
-//! with [`recover`] (or [`recover_sharded`] for a partitioned table).
+//! [`ShardedTableBuilder`] + [`Durability::Wal`], and reopen it after a
+//! crash with [`recover_sharded`].
 //!
 //! See `examples/quickstart.rs` for a guided tour and `DESIGN.md` for the
 //! paper-to-module map.
@@ -37,10 +38,7 @@ pub mod driver;
 pub use hyrise_bitpack as bitpack;
 pub use hyrise_core as merge;
 pub use hyrise_core::shard;
-pub use hyrise_core::{
-    recover, recover_sharded, recover_with, Durability, Error, Result, ShardedTableBuilder,
-    TableBuilder, TableConfig,
-};
+pub use hyrise_core::{recover_sharded, Durability, Error, Result, ShardedTableBuilder};
 pub use hyrise_csb as csb;
 pub use hyrise_query as query;
 pub use hyrise_server as server;

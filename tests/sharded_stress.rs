@@ -60,7 +60,7 @@ fn concurrent_inserts_and_scans_survive_per_shard_merges() {
                         inserted.fetch_add(64, Ordering::Relaxed);
                         i += 64;
                     } else {
-                        table.insert_row(&linked_row(i));
+                        table.try_insert_row(&linked_row(i)).unwrap();
                         inserted.fetch_add(1, Ordering::Relaxed);
                         i += 1;
                     }
@@ -154,7 +154,7 @@ fn sharded_mix_with_scheduler_stays_consistent() {
         ..MergePolicy::default()
     };
     let sched = ShardedScheduler::spawn(Arc::clone(&table), policy, 2, Duration::from_millis(2));
-    let stats = drive_sharded(&table, &workload, &ids);
+    let stats = drive_sharded(&table, &workload, &ids).unwrap();
     let deadline = std::time::Instant::now() + Duration::from_secs(15);
     while table.max_delta_fraction() > policy.delta_fraction && std::time::Instant::now() < deadline
     {

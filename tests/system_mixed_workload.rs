@@ -1,9 +1,10 @@
-//! Full-system test: the Figure-1 OLTP mix driven against an online table
-//! while the background merge scheduler keeps the delta bounded — the
-//! paper's combined-workload thesis as one executable assertion.
+//! Full-system test: the Figure-1 OLTP mix driven against a 1-shard
+//! table while the background merge scheduler keeps the delta bounded —
+//! the paper's combined-workload thesis as one executable assertion.
 
 use hyrise::driver::{drive, row_for_seed, DriverStats};
-use hyrise::merge::{MergePolicy, MergeScheduler, OnlineTable};
+use hyrise::merge::MergePolicy;
+use hyrise::shard::{ShardedScheduler, ShardedTable};
 use hyrise::workload::{QueryMix, UpdateStream};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -13,13 +14,15 @@ use std::time::Duration;
 const COLS: usize = 4;
 const INITIAL_ROWS: u64 = 20_000;
 
-fn loaded_table() -> Arc<OnlineTable<u64>> {
-    let table = Arc::new(OnlineTable::<u64>::new(COLS));
-    for i in 0..INITIAL_ROWS {
-        table.insert_row(&row_for_seed(i, COLS));
-    }
-    table.merge(4, None).expect("initial merge");
-    table
+fn loaded_table() -> Arc<ShardedTable<u64>> {
+    let table = ShardedTable::<u64>::builder()
+        .columns(COLS)
+        .build()
+        .expect("in-memory table");
+    let rows: Vec<Vec<u64>> = (0..INITIAL_ROWS).map(|i| row_for_seed(i, COLS)).collect();
+    table.insert_rows(&rows).expect("preload");
+    table.merge_all(4).expect("initial merge");
+    Arc::new(table)
 }
 
 #[test]
@@ -30,17 +33,18 @@ fn oltp_mix_with_background_merging_stays_consistent() {
         threads: 2,
         ..MergePolicy::default()
     };
-    let sched = MergeScheduler::spawn(Arc::clone(&table), policy, Duration::from_millis(2));
+    let sched = ShardedScheduler::spawn(Arc::clone(&table), policy, 1, Duration::from_millis(2));
+    let table = table.shard(0);
 
     // Drive the OLTP mix from two concurrent workers.
     let totals: Vec<DriverStats> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..2)
             .map(|w| {
-                let table = Arc::clone(&table);
+                let table = Arc::clone(table);
                 s.spawn(move || {
                     let mut stream = UpdateStream::new(QueryMix::oltp(), INITIAL_ROWS);
                     let mut rng = StdRng::seed_from_u64(100 + w);
-                    drive(&table, &mut stream, &mut rng, 15_000)
+                    drive(&table, &mut stream, &mut rng, 15_000).expect("in-memory writes")
                 })
             })
             .collect();
@@ -114,12 +118,15 @@ fn sustained_update_rate_meets_the_low_target() {
         threads: 4,
         ..MergePolicy::default()
     };
-    let sched = MergeScheduler::spawn(Arc::clone(&table), policy, Duration::from_millis(1));
+    let sched = ShardedScheduler::spawn(Arc::clone(&table), policy, 1, Duration::from_millis(1));
+    let table = table.shard(0);
 
     let n = 50_000u64;
     let t0 = std::time::Instant::now();
     for i in 0..n {
-        table.insert_row(&row_for_seed(INITIAL_ROWS + i, COLS));
+        table
+            .try_insert_row(&row_for_seed(INITIAL_ROWS + i, COLS))
+            .unwrap();
     }
     // Include the drain in the measured window (Equation 1 charges T_M).
     // The scheduler stops merging once the delta is back under the trigger
