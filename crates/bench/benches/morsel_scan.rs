@@ -7,6 +7,13 @@
 //! Every pool timing is preceded by an equivalence assert against the
 //! serial output, so the gate can never reward a wrong parallel combine.
 //!
+//! The `count_deleted` group times single-predicate counts (an eq and a
+//! range) on snapshots with 1% and 30% of the rows deleted: the executor
+//! subtracts deleted rows from the popcount below a deleted share of 1/32
+//! and ANDs validity words into a row mask above it, and each share sits on
+//! one side of that choice. Every count is first checked against the
+//! length of the same query's row output.
+//!
 //! Interpreting the numbers: on the 1-core CI container the pool adds a
 //! helper task on the caller's only core, so `poolN` gates *parity plus
 //! bounded scheduling overhead*, not speedup — `pool1` in particular is
@@ -83,5 +90,46 @@ fn bench_morsel_scan(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_morsel_scan);
+fn bench_count_deleted(c: &mut Criterion) {
+    let t = table();
+    let mut g = c.benchmark_group("count_deleted");
+    g.sample_size(15);
+    g.throughput(Throughput::Elements(N as u64));
+    let shapes = [
+        ("eq", Query::scan(0).eq(500)),
+        ("range", Query::scan(0).between(100, 500)),
+    ];
+    let rows = t.row_count();
+    let mut deleted = 0;
+    let mut x = 0xDE1E_7E5Au64;
+    for pct in [1usize, 30] {
+        while deleted < rows * pct / 100 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let row = (x % rows as u64) as usize;
+            if t.is_valid(row) {
+                t.try_delete_row(row).unwrap();
+                deleted += 1;
+            }
+        }
+        let snap = t.snapshot();
+        for (name, q) in &shapes {
+            let count = q.clone().count();
+            assert_eq!(
+                count.run(&snap).count(),
+                q.run(&snap).into_rows().len(),
+                "{name} count at {pct}% deleted"
+            );
+            g.bench_with_input(
+                BenchmarkId::new(*name, format!("del{pct}")),
+                &count,
+                |b, q| b.iter(|| black_box(q.run(&snap))),
+            );
+        }
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_morsel_scan, bench_count_deleted);
 criterion_main!(benches);

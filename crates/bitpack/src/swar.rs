@@ -73,10 +73,16 @@
 //! The executor fuses conjunctive predicates by AND-ing *dense row masks*
 //! (bit `r` of word `r / 64` = row `r` matches) produced per column by
 //! [`BitPackedVec::fill_range_mask`] / [`BitPackedVec::and_range_mask`]
-//! before any row id is materialized. A 64-row block covers exactly `b`
-//! words for every width, so blocks are word-aligned everywhere and the
-//! AND pass can skip a block entirely when its accumulated mask word is
-//! already zero.
+//! before any row id is materialized. Masks are emitted a window at a
+//! time: each window's lane verdicts become `m` dense bits (one compaction
+//! multiply when `m <= 8`, i.e. every width from 8 bits up; narrower
+//! widths scatter their set lanes), ORed into a register word at the
+//! window's row offset, with a carry into the next word when the window
+//! straddles a 64-row boundary. Each mask word is stored (or ANDed) once.
+//! A 64-row block covers exactly `b` words for every width, so blocks are
+//! word-aligned everywhere; the AND pass is a single window walk over each
+//! run of non-zero mask words and skips a block entirely when its
+//! accumulated mask word is already zero.
 
 use crate::vec::BitPackedVec;
 use crate::width::max_value_for_bits;
@@ -436,10 +442,33 @@ impl<W: SwarWord> Lanes<W> {
     /// `m <= b`, which `m <= 8` guarantees on both window types (`u64`
     /// needs `b >= 8` to get `m <= 8`; `u128` windows only serve
     /// `b > 16 > m`).
+    ///
+    /// Only bits `0..m` are verdicts: the product's other terms land above
+    /// them, so bits at or above `m` hold junk. Per-lane probes ignore it;
+    /// anything that keeps the whole word masks it off (see
+    /// [`Self::lane_bits`]).
     #[inline]
     fn compact(&self, lm: W) -> u64 {
         debug_assert!(self.m <= 8 && self.m <= self.bits);
         (lm.wrapping_mul(self.cmagic) >> self.cshift).as_u64()
+    }
+
+    /// A lane-mask turned into its verdict bits: bit `j` set iff lane `j`
+    /// matched, nothing at or above `m`. One [`Self::compact`] multiply
+    /// when `m <= 8`; narrower widths (more lanes than bits per lane)
+    /// scatter their few set lanes one by one.
+    #[inline]
+    fn lane_bits(&self, lm: W) -> u64 {
+        if self.m <= 8 {
+            return self.compact(lm) & low_bits(self.m);
+        }
+        let mut bits = 0u64;
+        let mut lm = lm;
+        while lm != W::ZERO {
+            bits |= 1u64 << self.lane_of(lm.trailing_zeros() as usize);
+            lm = lm & (lm - W::ONE);
+        }
+        bits
     }
 }
 
@@ -735,6 +764,44 @@ fn count_range_w<W: SwarWord>(
     n
 }
 
+/// Walk rows `start..end` (`start` 64-aligned) once and hand `sink(j, word)`
+/// every dense row-mask word of the range in order, each exactly once:
+/// bit `r` of word `j` is row `start + 64 * j + r`'s verdict. Each window's
+/// verdict bits are ORed into a register word at the window's row offset;
+/// a window that reaches the word's end flushes it and carries its
+/// remaining lanes into the next word (a window spans at most 64 rows, so
+/// one carry suffices).
+#[inline]
+fn for_each_mask_word<W: SwarWord>(
+    v: &BitPackedVec,
+    l: &Lanes<W>,
+    cmp: &Cmp<W>,
+    start: usize,
+    end: usize,
+    mut sink: impl FnMut(usize, u64),
+) {
+    let mut word = 0u64;
+    let mut j = 0usize;
+    for_each_window::<W>(v.words(), l.bits, l.m, start, end, |idx, take, chunk| {
+        let hv = if take == l.m {
+            l.high
+        } else {
+            l.high & l.valid(take)
+        };
+        let bits = l.lane_bits(cmp.lanes(l, chunk) & hv);
+        let sh = (idx - start) & 63;
+        word |= bits << sh;
+        if sh + l.m >= 64 {
+            sink(j, word);
+            j += 1;
+            word = if sh == 0 { 0 } else { bits >> (64 - sh) };
+        }
+    });
+    if j < mask_words(end - start) {
+        sink(j, word);
+    }
+}
+
 fn fill_range_mask_w<W: SwarWord>(
     v: &BitPackedVec,
     lo: u64,
@@ -743,37 +810,19 @@ fn fill_range_mask_w<W: SwarWord>(
     end: usize,
     masks: &mut [u64],
 ) {
-    let n = mask_words(end - start);
+    let masks = &mut masks[..mask_words(end - start)];
     let l = Lanes::<W>::new(v.bits());
     let cmp = Cmp::compile(&l, lo, hi, v.bits());
     match cmp {
-        Cmp::None => masks[..n].fill(0),
+        Cmp::None => masks.fill(0),
         Cmp::All => {
-            masks[..n].fill(u64::MAX);
-            if n > 0 {
-                let tail = (end - start) % 64;
-                if tail != 0 {
-                    masks[n - 1] = low_bits(tail);
-                }
+            masks.fill(u64::MAX);
+            let tail = (end - start) % 64;
+            if tail != 0 {
+                masks[masks.len() - 1] = low_bits(tail);
             }
         }
-        _ => {
-            masks[..n].fill(0);
-            for_each_window::<W>(v.words(), l.bits, l.m, start, end, |idx, take, chunk| {
-                let hv = if take == l.m {
-                    l.high
-                } else {
-                    l.high & l.valid(take)
-                };
-                let mut lm = cmp.lanes(&l, chunk) & hv;
-                while lm != W::ZERO {
-                    let tz = lm.trailing_zeros() as usize;
-                    let row = idx - start + l.lane_of(tz);
-                    masks[row >> 6] |= 1u64 << (row & 63);
-                    lm = lm & (lm - W::ONE);
-                }
-            });
-        }
+        _ => for_each_mask_word(v, &l, &cmp, start, end, |j, w| masks[j] = w),
     }
 }
 
@@ -785,34 +834,30 @@ fn and_range_mask_w<W: SwarWord>(
     end: usize,
     masks: &mut [u64],
 ) {
-    let n = mask_words(end - start);
+    let masks = &mut masks[..mask_words(end - start)];
     let l = Lanes::<W>::new(v.bits());
     let cmp = Cmp::compile(&l, lo, hi, v.bits());
     match cmp {
-        Cmp::None => masks[..n].fill(0),
+        Cmp::None => masks.fill(0),
         Cmp::All => {}
         _ => {
-            for (j, slot) in masks[..n].iter_mut().enumerate() {
-                if *slot == 0 {
+            // One window walk per run of non-zero words: a dense mask is a
+            // single walk over the morsel, and zero words skip their 64-row
+            // blocks without reading the packed codes.
+            let mut j = 0;
+            while j < masks.len() {
+                if masks[j] == 0 {
+                    j += 1;
                     continue;
                 }
-                let bstart = start + j * 64;
-                let bend = (bstart + 64).min(end);
-                let mut block = 0u64;
-                for_each_window::<W>(v.words(), l.bits, l.m, bstart, bend, |idx, take, chunk| {
-                    let hv = if take == l.m {
-                        l.high
-                    } else {
-                        l.high & l.valid(take)
-                    };
-                    let mut lm = cmp.lanes(&l, chunk) & hv;
-                    while lm != W::ZERO {
-                        let tz = lm.trailing_zeros() as usize;
-                        block |= 1u64 << ((idx - bstart) + l.lane_of(tz));
-                        lm = lm & (lm - W::ONE);
-                    }
-                });
-                *slot &= block;
+                let run_end = masks[j..]
+                    .iter()
+                    .position(|&w| w == 0)
+                    .map_or(masks.len(), |k| j + k);
+                let run = &mut masks[j..run_end];
+                let (rs, re) = (start + 64 * j, (start + 64 * run_end).min(end));
+                for_each_mask_word(v, &l, &cmp, rs, re, |k, w| run[k] &= w);
+                j = run_end;
             }
         }
     }
@@ -1070,6 +1115,32 @@ mod tests {
             let w64 = l64.ge_lanes(l64.broadcast(x), l64.broadcast(y));
             let w128 = l128.ge_lanes(l128.broadcast(x), l128.broadcast(y));
             assert_eq!(w64 != 0, w128 != 0, "x={x} y={y}");
+        }
+    }
+
+    /// Every subset of matching lanes, at every width in the compaction
+    /// regime of both window types: verdict bits are exact and nothing
+    /// lands at or above bit `m` (raw `compact` leaves junk there).
+    #[test]
+    fn compacted_lane_bits_stay_below_m() {
+        fn check<W: SwarWord>(bits: u8) {
+            let l = Lanes::<W>::new(bits);
+            assert!(l.m <= 8, "width {bits}");
+            for set in 0u64..(1 << l.m) {
+                let mut lm = W::ZERO;
+                for j in 0..l.m {
+                    if set >> j & 1 == 1 {
+                        lm = lm | (W::ONE << (j * l.bits + l.bits - 1) as u32);
+                    }
+                }
+                assert_eq!(l.lane_bits(lm), set, "width {bits}, lanes {set:b}");
+            }
+        }
+        for bits in 8..=WIDE_BITS {
+            check::<u64>(bits);
+        }
+        for bits in WIDE_BITS + 1..=64 {
+            check::<u128>(bits);
         }
     }
 

@@ -114,12 +114,30 @@ fn sample(bits: u8, n: usize, seed: u64) -> (BitPackedVec, Vec<u64>) {
     (BitPackedVec::from_slice(bits, &data), data)
 }
 
+/// The dense row mask over `rows` rows whose bit `r` is `matches(r)`.
+fn ref_mask(rows: usize, matches: impl Fn(usize) -> bool) -> Vec<u64> {
+    let mut masks = vec![0u64; mask_words(rows)];
+    for r in (0..rows).filter(|&r| matches(r)) {
+        masks[r / 64] |= 1 << (r % 64);
+    }
+    masks
+}
+
 #[test]
 fn every_width_exhaustive_sweep() {
     for bits in 1..=64u8 {
         let m = 64 / bits as usize;
-        // Lengths that leave a partial final window (and one empty vector).
-        for n in [0usize, 1, m, m + 1, 5 * m + m.saturating_sub(1).max(1), 257] {
+        // Lengths that leave a partial final window (and one empty vector);
+        // the longer ones also hold several 64-row mask blocks.
+        for n in [
+            0usize,
+            1,
+            m,
+            m + 1,
+            5 * m + m.saturating_sub(1).max(1),
+            257,
+            515,
+        ] {
             let (v, data) = sample(bits, n, bits as u64);
             let mask = max_value_for_bits(bits);
             let code = data.get(n / 2).copied().unwrap_or(0);
@@ -140,6 +158,36 @@ fn every_width_exhaustive_sweep() {
                     v.count_in_range_scalar(lo, hi),
                     "width {bits}, n {n}, range {lo}..={hi}"
                 );
+                // Morsel-local masks at non-zero 64-aligned starts, ending
+                // short of `len()`, against the scalar reference.
+                for (s, e) in [(64, n.saturating_sub(1)), (128, n.saturating_sub(3))] {
+                    if e <= s {
+                        continue;
+                    }
+                    let want = |r: usize| (lo..=hi).contains(&data[s + r]);
+                    let mut masks = vec![u64::MAX; mask_words(e - s)];
+                    v.fill_range_mask_at(lo, hi, s, e, &mut masks);
+                    assert_eq!(
+                        masks,
+                        ref_mask(e - s, want),
+                        "fill width {bits}, n {n}, rows {s}..{e}, range {lo}..={hi}"
+                    );
+                    // AND a second predicate into a pattern of pre-zeroed
+                    // and all-ones words: zero words must stay zero (the
+                    // skipped blocks), the others become the intersection.
+                    let (lo2, hi2) = (mask / 4, mask / 4 + mask / 2);
+                    let mut masks: Vec<u64> = (0..mask_words(e - s))
+                        .map(|j| if j % 3 == 1 { 0 } else { u64::MAX })
+                        .collect();
+                    v.and_range_mask_at(lo2, hi2, s, e, &mut masks);
+                    let both = ref_mask(e - s, |r| {
+                        r / 64 % 3 != 1 && (lo2..=hi2).contains(&data[s + r])
+                    });
+                    assert_eq!(
+                        masks, both,
+                        "and width {bits}, n {n}, rows {s}..{e}, range {lo2}..={hi2}"
+                    );
+                }
             }
             let (mut swar, mut scalar) = (Vec::new(), Vec::new());
             v.select_eq_into(code, 11, &mut swar);

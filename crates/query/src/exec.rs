@@ -19,8 +19,16 @@
 //!    the engine refines the selection vector row by row: main rows compare
 //!    their packed code against that column's value-id range (random
 //!    access, still no decode), tail rows compare values.
-//! 3. **Validity** filters last; the surviving [`SelectionVector`] feeds
-//!    row output, projection, or aggregation.
+//! 3. **Validity** applies as words, not rows, wherever a mask exists: a
+//!    fused conjunction ANDs the morsel's validity words into its row mask
+//!    before materializing (and a fused count popcounts the result). A
+//!    single-predicate count over a table with few deleted rows subtracts
+//!    the matching ones, found from the validity words' zero bits, from
+//!    its popcount; with many deleted rows it takes the masked path like a
+//!    conjunction. Only the row-id paths (single-predicate rows,
+//!    stepped-main refinement, tails) still drop deleted rows from the
+//!    [`SelectionVector`], which then feeds row output, projection, or
+//!    aggregation.
 //!
 //! **Morsel-driven parallelism.** Every stage above is phrased per morsel:
 //! [`Query::with_threads`] is a morsel-count hint that cuts the main
@@ -362,6 +370,43 @@ fn retain_valid(rows: &mut Vec<usize>, validity: Option<&ValidityBitmap>) {
     }
 }
 
+/// AND the validity words into a morsel-local row mask over main rows
+/// starting at `start` (64-aligned, so validity word `start / 64 + j`
+/// covers mask word `j`).
+fn and_validity(masks: &mut [u64], validity: &ValidityBitmap, start: usize) {
+    let words = &validity.words()[start / 64..];
+    for (m, w) in masks.iter_mut().zip(words) {
+        *m &= w;
+    }
+}
+
+/// The deleted rows in `[start, end)`, ascending: the zero bits of the
+/// validity words.
+fn invalid_rows(
+    validity: &ValidityBitmap,
+    start: usize,
+    end: usize,
+) -> impl Iterator<Item = usize> + '_ {
+    let words = validity.words();
+    (start / 64..end.div_ceil(64)).flat_map(move |w| {
+        let base = w * 64;
+        let mut zeros = !words[w];
+        if base < start {
+            zeros &= u64::MAX << (start - base);
+        }
+        if end - base < 64 {
+            zeros &= (1u64 << (end - base)) - 1;
+        }
+        std::iter::from_fn(move || {
+            (zeros != 0).then(|| {
+                let row = base + zeros.trailing_zeros() as usize;
+                zeros &= zeros - 1;
+                row
+            })
+        })
+    })
+}
+
 /// First-predicate scan of `col`'s tail regions only (global row ids start
 /// at the end of main). Tails are short by construction — the merge bounds
 /// them — so they run serially after the main morsels.
@@ -373,55 +418,98 @@ fn scan_tails_into<V: Value>(col: &ColView<'_, V>, lo: &V, hi: &V, out: &mut Vec
     }
 }
 
-/// Count matching rows without materializing a selection vector (the
-/// all-rows-valid fast path): a single predicate runs the popcount kernel
-/// over each main morsel and each tail region; a conjunction popcounts the
-/// fused per-word mask per morsel. Per-morsel counts add associatively, so
-/// the hint cannot change the result.
+/// Deleted share above which a single-predicate count stops subtracting
+/// deleted rows from its popcount and ANDs validity into a mask instead.
+/// The subtraction reads one code per deleted row, so its cost grows with
+/// the share; the mask costs one fill per morsel whatever the share. On
+/// 256K–2M-row single-predicate counts (2 vCPU x86-64, point lookups and a
+/// 40%-selective range) the two cross between 2% and 6% deleted: at 1–2%
+/// the mask takes 10–30% longer, at 30% the subtraction takes about twice
+/// the mask's time (`cargo bench --bench morsel_scan -- count_deleted`
+/// times one share on each side). A table at exactly this share still
+/// subtracts.
+const SUBTRACT_MAX_DELETED: (usize, usize) = (1, 32);
+
+/// Is the share of deleted rows at most [`SUBTRACT_MAX_DELETED`]? Reads
+/// the bitmap's maintained counter, so it costs nothing per query.
+fn deletes_are_sparse(validity: &ValidityBitmap) -> bool {
+    let (num, den) = SUBTRACT_MAX_DELETED;
+    (validity.len() - validity.valid_count()) * den <= validity.len() * num
+}
+
+/// Count matching rows without materializing a selection vector. A single
+/// predicate with no or sparse deletes runs the popcount kernel over each
+/// main morsel and each tail region, then subtracts the matching deleted
+/// rows, read one code at a time from the zero bits of the validity words.
+/// Every other count — a conjunction, or one predicate over a table with
+/// many deleted rows — popcounts the fused per-word mask ANDed with the
+/// validity words per morsel. Per-morsel counts add associatively, so the
+/// hint cannot change the result. `validity` is `None` when no row is
+/// deleted.
 fn count_cols<V: Value>(
     cols: &[ColView<'_, V>],
     n_rows: usize,
     preds: &[CompiledPredicate<V>],
+    validity: Option<&ValidityBitmap>,
     hint: usize,
 ) -> usize {
-    if let [p] = preds {
+    if let ([p], true) = (preds, validity.is_none_or(deletes_are_sparse)) {
         let col = &cols[p.col];
+        let nm = col.main.len();
         let main = match col.main.dictionary().value_id_range(&p.lo, &p.hi) {
             Some(ids) => {
                 let (id_lo, id_hi) = (*ids.start() as u64, *ids.end() as u64);
-                let ranges = morsel_ranges(col.main.len(), hint);
+                let codes = col.main.packed_codes();
+                let ranges = morsel_ranges(nm, hint);
                 parallel_map(hint, ranges.len(), |i| {
                     let (s, e) = ranges[i];
-                    col.main
-                        .packed_codes()
-                        .count_in_range_at(id_lo, id_hi, s, e)
+                    let deleted = validity.map_or(0, |v| {
+                        invalid_rows(v, s, e)
+                            .filter(|&r| (id_lo..=id_hi).contains(&codes.get(r)))
+                            .count()
+                    });
+                    codes.count_in_range_at(id_lo, id_hi, s, e) - deleted
                 })
                 .into_iter()
                 .sum()
             }
             None => 0,
         };
-        return main
-            + col
-                .tails
-                .iter()
-                .map(|t| t.count_in_range(&p.lo, &p.hi))
-                .sum::<usize>();
+        let tails: usize = col
+            .tails
+            .iter()
+            .map(|t| t.count_in_range(&p.lo, &p.hi))
+            .sum();
+        let deleted_tail = validity.map_or(0, |v| {
+            invalid_rows(v, nm, n_rows)
+                .filter(|&r| {
+                    let x = col.tail_value(r - nm);
+                    x >= p.lo && x <= p.hi
+                })
+                .count()
+        });
+        return main + tails - deleted_tail;
     }
     match fused_main_len(cols, preds) {
         Some(nm) => {
             let ranges = morsel_ranges(nm, hint);
             let main: usize = parallel_map(hint, ranges.len(), |i| {
                 let (s, e) = ranges[i];
-                mask_count(&fused_mask_at(cols, preds, s, e))
+                let mut masks = fused_mask_at(cols, preds, s, e);
+                if let Some(v) = validity {
+                    and_validity(&mut masks, v, s);
+                }
+                mask_count(&masks)
             })
             .into_iter()
             .sum();
-            main + (0..n_rows - nm)
-                .filter(|&i| tail_row_matches(cols, preds, i))
+            main + (nm..n_rows)
+                .filter(|&r| {
+                    tail_row_matches(cols, preds, r - nm) && validity.is_none_or(|v| v.is_valid(r))
+                })
                 .count()
         }
-        None => select_cols(cols, n_rows, preds, None, hint).len(),
+        None => select_cols(cols, n_rows, preds, validity, hint).len(),
     }
 }
 
@@ -480,15 +568,17 @@ fn select_cols<V: Value>(
         Some((first, rest)) => match fused_main_len(cols, preds) {
             Some(nm) => {
                 // Fused pass per morsel: AND morsel-local per-word masks
-                // across columns, then materialize once; tail rows check
-                // all predicates fused.
+                // across columns and with the validity words, then
+                // materialize once; tail rows check all predicates fused.
                 let ranges = morsel_ranges(nm, hint);
                 let mut parts = parallel_map(hint, ranges.len(), |i| {
                     let (s, e) = ranges[i];
-                    let masks = fused_mask_at(cols, preds, s, e);
+                    let mut masks = fused_mask_at(cols, preds, s, e);
+                    if let Some(v) = validity {
+                        and_validity(&mut masks, v, s);
+                    }
                     let mut rows = Vec::new();
                     rows_from_mask(&masks, e - s, s, &mut rows);
-                    retain_valid(&mut rows, validity);
                     rows
                 });
                 let mut tail_rows = Vec::new();
@@ -680,6 +770,10 @@ fn execute_cols<V: Value>(
     validity: Option<&ValidityBitmap>,
     q: &Query<V>,
 ) -> Output<V, usize> {
+    debug_assert!(
+        validity.is_none_or(|v| v.len() >= n_rows),
+        "the validity bitmap must cover every row"
+    );
     let preds = q.predicates();
     let hint = q.threads();
     match q.action() {
@@ -709,11 +803,10 @@ fn execute_cols<V: Value>(
                 // (it only has to *cover* it) — count the covered rows.
                 Some(v) => (0..n_rows).filter(|&r| v.is_valid(r)).count(),
             }
-        } else if validity.is_none_or(|v| v.len() >= n_rows && v.valid_count() == v.len()) {
-            // No invalid rows: count without materializing row ids.
-            count_cols(cols, n_rows, preds, hint)
         } else {
-            select_cols(cols, n_rows, preds, validity, hint).len()
+            // A bitmap without deleted rows filters nothing: drop it.
+            let deletes = validity.filter(|v| v.valid_count() != v.len());
+            count_cols(cols, n_rows, preds, deletes, hint)
         }),
         Action::Sum(c) => Output::Sum(if preds.is_empty() {
             sum_full(&cols[*c], validity, hint)

@@ -182,6 +182,12 @@ fn write_burst_swarm_trips_the_throttle_and_merge_catches_up() {
         assert!(Instant::now() < deadline, "merge never caught up");
         std::thread::sleep(Duration::from_millis(5));
     }
+    // The daemon counts a merge only after it returns, so the drained
+    // delta can be visible before the counter moves: poll under the same
+    // deadline.
+    while entry.scheduler().stats().merges == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
     assert!(entry.scheduler().stats().merges > 0);
 
     // With the valve open again a writer is admitted straight away.
