@@ -1,7 +1,10 @@
-//! Criterion: morsel-driven parallel query execution vs the serial engine
-//! (the ISSUE-10 tentpole). Three shapes at 1M rows — an eq scan, a fused
-//! 2-column conjunction, and the predicate-free sum — each as `serial`
-//! (no hint: the inline path that never touches the pool) and `poolN`
+//! Criterion: morsel-driven parallel query execution vs the serial engine.
+//! Seven shapes at 1M rows — an eq scan, a fused 2-column conjunction, the
+//! predicate-free sum, a sum and min/max under one rare point predicate
+//! (`sum_eq`/`min_max_eq`: 1/1009 of the dictionary, so the executor
+//! gathers the matching rows) and under a 25% range (`sum_where`/
+//! `min_max_where`: the masked code-space path) — each as `serial` (no
+//! hint: the inline path that never touches the pool) and `poolN`
 //! (`with_threads(N)`: morsels claimed by the shared worker pool).
 //!
 //! Every pool timing is preceded by an equivalence assert against the
@@ -64,6 +67,10 @@ fn bench_morsel_scan(c: &mut Criterion) {
             Query::scan(0).between(100, 600).and(1).between(0, 40_000),
         ),
         ("sum", Query::scan(0).sum(1)),
+        ("sum_eq", Query::scan(0).eq(500).sum(1)),
+        ("min_max_eq", Query::scan(0).eq(500).min_max(1)),
+        ("sum_where", Query::scan(0).between(100, 350).sum(1)),
+        ("min_max_where", Query::scan(0).between(100, 350).min_max(1)),
     ];
     for (name, q) in shapes {
         let serial = q.run(&snap);

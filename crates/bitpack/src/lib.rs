@@ -38,6 +38,7 @@
 mod region;
 mod scan;
 mod swar;
+mod unpack;
 mod vec;
 mod width;
 

@@ -83,7 +83,16 @@
 //! word-aligned everywhere; the AND pass is a single window walk over each
 //! run of non-zero mask words and skips a block entirely when its
 //! accumulated mask word is already zero.
+//!
+//! # Masked aggregates
+//!
+//! [`BitPackedVec::fold_masked_at`] reads such a mask back: for each
+//! non-zero word it decodes that word's 64-row block once, with a
+//! straight-line unpacker instantiated per width, and hands the selected
+//! codes to the caller's fold. Sparse words read their few rows directly
+//! instead of decoding the block.
 
+use crate::unpack::unpacker;
 use crate::vec::BitPackedVec;
 use crate::width::max_value_for_bits;
 
@@ -863,6 +872,10 @@ fn and_range_mask_w<W: SwarWord>(
     }
 }
 
+/// A mask word with at most this many set bits is *sparse*: its rows are
+/// read one at a time instead of decoding the whole 64-row block.
+const SPARSE_BITS: u32 = 8;
+
 impl BitPackedVec {
     /// SWAR equality select over logical indices `start..end`: `base + i`
     /// for every matching `i` (global index). Caller guarantees `code` fits
@@ -1053,6 +1066,85 @@ impl BitPackedVec {
             and_range_mask_w::<u128>(self, lo, hi, start, end, masks)
         } else {
             and_range_mask_w::<u64>(self, lo, hi, start, end, masks)
+        }
+    }
+
+    /// Hand `add` the code of every selected row in `start..end` — the
+    /// masked aggregate kernel. `mask` is morsel-local like the
+    /// [`Self::fill_range_mask_at`] output (bit 0 of `mask[0]` is row
+    /// `start`; bits at or beyond `end` are ignored); `None` selects every
+    /// row. `start` must be 64-aligned, so each mask word covers one 64-row
+    /// block of exactly `bits()` packed words.
+    ///
+    /// Each non-zero mask word is handled on its own: a sparse word reads
+    /// only its set rows; any other decodes its block once, then a full
+    /// word passes the whole block in one straight loop and a partial one
+    /// visits its set bits. Codes of one block arrive in row order.
+    ///
+    /// # Panics
+    /// If `start` is not 64-aligned, the range is out of bounds, or `mask`
+    /// is shorter than [`mask_words`]`(end - start)`.
+    pub fn fold_masked_at(
+        &self,
+        start: usize,
+        end: usize,
+        mask: Option<&[u64]>,
+        mut add: impl FnMut(u64),
+    ) {
+        assert!(start.is_multiple_of(64), "morsel start must be 64-aligned");
+        assert!(
+            start <= end && end <= self.len(),
+            "fold range out of bounds"
+        );
+        if let Some(m) = mask {
+            let n = mask_words(end - start);
+            assert!(m.len() >= n, "mask buffer too short: {} < {n}", m.len());
+        }
+        let unpack = unpacker(self.bits());
+        let bits = self.bits() as usize;
+        let mut buf = [0u64; 64];
+        for j in 0..mask_words(end - start) {
+            let block = start + 64 * j;
+            let n = (end - block).min(64);
+            let all = low_bits(n);
+            let word = mask.map_or(all, |m| m[j] & all);
+            let set = word.count_ones();
+            if set == 0 {
+                continue;
+            }
+            if set <= SPARSE_BITS {
+                let mut w = word;
+                while w != 0 {
+                    add(self.get(block + w.trailing_zeros() as usize));
+                    w &= w - 1;
+                }
+                continue;
+            }
+            let first = block / 64 * bits;
+            if n == 64 {
+                unpack(&self.words()[first..first + bits], &mut buf);
+            } else {
+                // A block cut short by `end`: unpack a copy of its words with
+                // every bit from row `end` on cleared, so no row at or beyond
+                // `end` is read.
+                let used = n * bits;
+                let mut part = [0u64; 64];
+                part[..used.div_ceil(64)]
+                    .copy_from_slice(&self.words()[first..first + used.div_ceil(64)]);
+                if !used.is_multiple_of(64) {
+                    part[used / 64] &= low_bits(used % 64);
+                }
+                unpack(&part[..bits], &mut buf);
+            }
+            if word == all {
+                buf[..n].iter().for_each(|&c| add(c));
+            } else {
+                let mut w = word;
+                while w != 0 {
+                    add(buf[w.trailing_zeros() as usize]);
+                    w &= w - 1;
+                }
+            }
         }
     }
 }

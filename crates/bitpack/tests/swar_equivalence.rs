@@ -10,7 +10,10 @@
 //! * An exhaustive deterministic sweep runs *every* width (the proptest
 //!   sampler is not guaranteed to visit all 64) against data shaped to hit
 //!   the straddle cases: lengths chosen off multiples of `floor(64/bits)`
-//!   so the last window is partial.
+//!   so the last window is partial. It also drives the masked aggregate
+//!   kernel (`fold_masked_at`) against `get()` at morsel starts 0, 64 and
+//!   128 under all-ones, zero, single-bit, nearly full, random and
+//!   partial-last-word masks.
 
 use hyrise_bitpack::{mask_count, mask_words, max_value_for_bits, rows_from_mask, BitPackedVec};
 use proptest::prelude::*;
@@ -189,6 +192,7 @@ fn every_width_exhaustive_sweep() {
                     );
                 }
             }
+            check_fold_masked(&v, bits, n);
             let (mut swar, mut scalar) = (Vec::new(), Vec::new());
             v.select_eq_into(code, 11, &mut swar);
             v.select_eq_scalar_into(code, 11, &mut scalar);
@@ -199,6 +203,71 @@ fn every_width_exhaustive_sweep() {
                 "width {bits}, n {n}"
             );
             assert_eq!(v.sum(), v.sum_scalar(), "width {bits}, n {n}");
+        }
+    }
+}
+
+/// `fold_masked_at` against `get()` over morsels at starts 0, 64 and 128
+/// that end short of `len()`, under masks that are all ones, zero, a
+/// single bit, nearly full, dense and sparse random, or have a partial
+/// last word. The all-ones, nearly full and random masks also set bits at
+/// and beyond `end` in their last word, where the vector still holds
+/// rows, so a kernel that reported a row at or beyond `end` would hand
+/// over a code too many.
+fn check_fold_masked(v: &BitPackedVec, bits: u8, n: usize) {
+    let mut x = 0x5EED ^ bits as u64;
+    let mut rand = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    for (s, e) in [
+        (0, n.saturating_sub(1)),
+        (64, n.saturating_sub(2)),
+        (128, n.saturating_sub(5)),
+    ] {
+        if e <= s {
+            continue;
+        }
+        let words = mask_words(e - s);
+        let last_bit = 1u64 << ((e - s - 1) % 64);
+        let nearly_full: Vec<u64> = (0..words)
+            .map(|_| !(1u64 << (rand() % 64)) & !(1u64 << (rand() % 64)))
+            .collect();
+        let mut partial_last = vec![u64::MAX; words];
+        partial_last[words - 1] = u64::MAX << 3 >> 9;
+        let masks: Vec<(&str, Vec<u64>)> = vec![
+            ("all ones", vec![u64::MAX; words]),
+            ("zero", vec![0; words]),
+            ("single bit", {
+                let mut m = vec![0; words];
+                m[words - 1] = last_bit;
+                m
+            }),
+            ("nearly full", nearly_full),
+            ("dense", (0..words).map(|_| rand()).collect()),
+            (
+                "sparse",
+                (0..words).map(|_| rand() & rand() & rand()).collect(),
+            ),
+            ("partial last word", partial_last),
+        ];
+        let mut want_all = Vec::new();
+        for r in s..e {
+            want_all.push(v.get(r));
+        }
+        let mut got = Vec::new();
+        v.fold_masked_at(s, e, None, |c| got.push(c));
+        assert_eq!(got, want_all, "width {bits}, rows {s}..{e}, no mask");
+        for (name, mask) in masks {
+            let want: Vec<u64> = (s..e)
+                .filter(|&r| mask[(r - s) / 64] >> ((r - s) % 64) & 1 == 1)
+                .map(|r| v.get(r))
+                .collect();
+            let mut got = Vec::new();
+            v.fold_masked_at(s, e, Some(&mask), |c| got.push(c));
+            assert_eq!(got, want, "width {bits}, rows {s}..{e}, {name} mask");
         }
     }
 }

@@ -21,14 +21,31 @@
 //!    access, still no decode), tail rows compare values.
 //! 3. **Validity** applies as words, not rows, wherever a mask exists: a
 //!    fused conjunction ANDs the morsel's validity words into its row mask
-//!    before materializing (and a fused count popcounts the result). A
-//!    single-predicate count over a table with few deleted rows subtracts
-//!    the matching ones, found from the validity words' zero bits, from
-//!    its popcount; with many deleted rows it takes the masked path like a
-//!    conjunction. Only the row-id paths (single-predicate rows,
+//!    before materializing (a fused count popcounts the result; a sum or
+//!    min/max folds codes under it, see below). A single-predicate count
+//!    over a table with few deleted rows subtracts the matching ones,
+//!    found from the validity words' zero bits, from its popcount; with
+//!    many deleted rows it takes the masked path like a conjunction. Only
+//!    the row-id paths (single-predicate rows and projections,
 //!    stepped-main refinement, tails) still drop deleted rows from the
-//!    [`SelectionVector`], which then feeds row output, projection, or
-//!    aggregation.
+//!    [`SelectionVector`], which then feeds row output, projection, or the
+//!    stepped-main aggregate fallback.
+//!
+//! **Aggregates in code space.** `sum` and `min_max` gather no row ids on
+//! the main partition. Each morsel's selection is one row mask: the fused
+//! predicate mask ANDed with the validity words, the validity words alone
+//! without predicates, or none at all when no row is deleted.
+//! [`BitPackedVec::fold_masked_at`] decodes each non-zero mask word's
+//! 64-row block once and folds the selected codes: a sum gathers their
+//! dictionary values, a min/max folds the codes themselves (the dictionary
+//! is order-preserving) and decodes the two extremes once. One exception
+//! keeps row ids per morsel: a lone point predicate on a rare value (at
+//! most 1/32 of its dictionary) runs the select kernel's equality path,
+//! drops deleted matches and folds each match's code, because for rare
+//! values that beats filling a mask over every row. Tail rows fold
+//! values serially. Only a mid-merge snapshot whose predicate columns'
+//! mains differ in length from the aggregate column's falls back to a
+//! [`SelectionVector`] and a per-row value lookup.
 //!
 //! **Morsel-driven parallelism.** Every stage above is phrased per morsel:
 //! [`Query::with_threads`] is a morsel-count hint that cuts the main
@@ -49,6 +66,8 @@
 
 use crate::morsel::{chunk_ranges, concat, morsel_ranges, parallel_map};
 use crate::plan::{Action, CompiledPredicate, Query};
+#[cfg(doc)]
+use hyrise_bitpack::BitPackedVec;
 use hyrise_bitpack::{mask_count, mask_words, rows_from_mask};
 use hyrise_core::shard::{ShardRowId, ShardedTable};
 use hyrise_core::{OnlineTable, Pool, TableSnapshot};
@@ -212,10 +231,6 @@ pub(crate) struct ColView<'a, V: Value> {
 }
 
 impl<V: Value> ColView<'_, V> {
-    fn len(&self) -> usize {
-        self.main.len() + self.tails.iter().map(|t| t.len()).sum::<usize>()
-    }
-
     /// Value of a tail row (row id relative to the end of main).
     fn tail_value(&self, i: usize) -> V {
         let mut off = i;
@@ -319,19 +334,6 @@ fn fused_main_len<V: Value>(
         .iter()
         .all(|p| cols[p.col].main.len() == nm)
         .then_some(nm)
-}
-
-/// Does tail row `i` (relative to the shared end of main) satisfy every
-/// predicate?
-fn tail_row_matches<V: Value>(
-    cols: &[ColView<'_, V>],
-    preds: &[CompiledPredicate<V>],
-    i: usize,
-) -> bool {
-    preds.iter().all(|p| {
-        let v = cols[p.col].tail_value(i);
-        v >= p.lo && v <= p.hi
-    })
 }
 
 /// Fused conjunction over one morsel of the main partitions (`start`
@@ -503,11 +505,7 @@ fn count_cols<V: Value>(
             })
             .into_iter()
             .sum();
-            main + (nm..n_rows)
-                .filter(|&r| {
-                    tail_row_matches(cols, preds, r - nm) && validity.is_none_or(|v| v.is_valid(r))
-                })
-                .count()
+            main + tail_selection(cols, nm, n_rows, preds, validity).count()
         }
         None => select_cols(cols, n_rows, preds, validity, hint).len(),
     }
@@ -581,14 +579,7 @@ fn select_cols<V: Value>(
                     rows_from_mask(&masks, e - s, s, &mut rows);
                     rows
                 });
-                let mut tail_rows = Vec::new();
-                for i in 0..n_rows - nm {
-                    if tail_row_matches(cols, preds, i) {
-                        tail_rows.push(nm + i);
-                    }
-                }
-                retain_valid(&mut tail_rows, validity);
-                parts.push(tail_rows);
+                parts.push(tail_selection(cols, nm, n_rows, preds, validity).collect());
                 concat(parts)
             }
             None => {
@@ -639,125 +630,199 @@ fn fold_mm<V: Ord + Copy>(mm: Option<(V, V)>, v: V) -> Option<(V, V)> {
     })
 }
 
-/// Sum rows `[start, end)` of `col` — a global row range that may span the
-/// main partition (the packed cursor resumes at `start`) and tail regions;
-/// a validity bitmap, when present, is checked per row.
-fn sum_rows<V: Value>(
-    col: &ColView<'_, V>,
-    validity: Option<&ValidityBitmap>,
-    start: usize,
-    end: usize,
-) -> u128 {
-    let dict = col.main.dictionary();
-    let nm = col.main.len();
-    let mut acc: u128 = 0;
-    if start < nm {
-        let mut cur = col.main.packed_codes().cursor_at(start);
-        for row in start..end.min(nm) {
-            let code = cur.next_value();
-            if validity.is_none_or(|val| val.is_valid(row)) {
-                acc += dict.value_at(code as u32).to_u64_lossy() as u128;
-            }
-        }
-    }
-    let mut base = nm;
-    for tail in &col.tails {
-        let tail_end = base + tail.len();
-        if start < tail_end && end > base {
-            for row in start.max(base)..end.min(tail_end) {
-                if validity.is_none_or(|val| val.is_valid(row)) {
-                    acc += tail.get(row - base).to_u64_lossy() as u128;
-                }
-            }
-        }
-        base = tail_end;
-    }
-    acc
+/// Largest share of its column's dictionary a lone point predicate (one
+/// value id) may cover and still gather its rows instead of building a
+/// row mask. The select kernel's equality path reads codes faster than
+/// the mask fill but pays a few ns per match, so it wins for rare values.
+/// On 1M-row single-predicate sums and min/max (2 vCPU x86-64, best of
+/// three runs, 0% and 30% of rows deleted) a point covering 1/32 to
+/// 1/1009 of the dictionary gathered in 0.3–1.2 ms against 0.7–1.8 ms
+/// for the mask; at 1/16 the two tie with 30% deleted and at 1/8 the mask
+/// wins there. A range predicate always builds the mask: the select
+/// kernel's range path costs as much per row as the mask fill, so from
+/// two ids up (0.2% to 1.6% of a 1009-value dictionary) gathering gained
+/// nothing. The share of value ids stands in for the share of rows; a
+/// skewed column can miss it. `cargo bench --bench morsel_scan` times
+/// `sum_eq`/`min_max_eq` on the gather side and
+/// `sum_where`/`min_max_where` on the mask side.
+const GATHER_MAX_SHARE: (usize, usize) = (1, 32);
+
+/// The lone predicate's value id when it is a point covering at most
+/// [`GATHER_MAX_SHARE`] of its column's dictionary; `None` when the
+/// aggregate builds a row mask instead.
+fn gather_code<V: Value>(cols: &[ColView<'_, V>], preds: &[CompiledPredicate<V>]) -> Option<u64> {
+    let [p] = preds else { return None };
+    let dict = cols[p.col].main.dictionary();
+    let ids = dict.value_id_range(&p.lo, &p.hi)?;
+    let (num, den) = GATHER_MAX_SHARE;
+    (ids.start() == ids.end() && den <= dict.len() * num).then_some(*ids.start() as u64)
 }
 
-/// Full-column sum (no predicates): the bandwidth-bound analytical scan,
-/// morselized over the whole row space (main and tails); per-morsel
-/// partial sums add in morsel order.
-fn sum_full<V: Value>(
-    col: &ColView<'_, V>,
+/// Fold the aggregate column's main codes over the selected rows, one
+/// morsel at a time: each morsel starts from `init`, `add` folds one code
+/// into it, and the per-morsel folds return in morsel order. A morsel's
+/// selection is its fused predicate mask ANDed with the validity words,
+/// or the validity words alone without predicates (`None` when nothing is
+/// deleted either). A lone rare point predicate ([`gather_code`])
+/// instead selects its matching rows with the select kernel, drops
+/// deleted ones and reads each match's code. The caller guarantees every
+/// predicate column's main has the aggregate column's length.
+fn fold_main<V: Value, T: Copy + Send + Sync>(
+    cols: &[ColView<'_, V>],
+    agg: usize,
+    preds: &[CompiledPredicate<V>],
+    validity: Option<&ValidityBitmap>,
+    hint: usize,
+    init: T,
+    add: impl Fn(&mut T, u64) + Sync,
+) -> Vec<T> {
+    let codes = cols[agg].main.packed_codes();
+    let ranges = morsel_ranges(codes.len(), hint);
+    let point = gather_code(cols, preds);
+    parallel_map(hint, ranges.len(), |i| {
+        let (s, e) = ranges[i];
+        let mut acc = init;
+        let mut fold = |code| add(&mut acc, code);
+        if let Some(id) = point {
+            let mut rows = Vec::new();
+            cols[preds[0].col]
+                .main
+                .packed_codes()
+                .select_in_range_into_at(id, id, s, e, 0, &mut rows);
+            retain_valid(&mut rows, validity);
+            rows.iter().for_each(|&r| fold(codes.get(r)));
+        } else if preds.is_empty() {
+            let mask = validity.map(|v| &v.words()[s / 64..]);
+            codes.fold_masked_at(s, e, mask, fold);
+        } else {
+            let mut masks = fused_mask_at(cols, preds, s, e);
+            if let Some(v) = validity {
+                and_validity(&mut masks, v, s);
+            }
+            codes.fold_masked_at(s, e, Some(&masks), fold);
+        }
+        acc
+    })
+}
+
+/// The selected tail rows (global ids `nm..n_rows`, `nm` the shared main
+/// length): every predicate matches and the row is valid. Tails are short
+/// by construction, so they run serially after the main morsels.
+fn tail_selection<'a, V: Value>(
+    cols: &'a [ColView<'_, V>],
+    nm: usize,
+    n_rows: usize,
+    preds: &'a [CompiledPredicate<V>],
+    validity: Option<&'a ValidityBitmap>,
+) -> impl Iterator<Item = usize> + 'a {
+    (nm..n_rows).filter(move |&r| {
+        let matches = preds.iter().all(|p| {
+            let v = cols[p.col].tail_value(r - nm);
+            v >= p.lo && v <= p.hi
+        });
+        matches && validity.is_none_or(|v| v.is_valid(r))
+    })
+}
+
+/// The selection as row ids, split into plain chunks for a random-access
+/// pass: the fallback for mid-merge snapshots whose predicate columns'
+/// mains differ in length from the aggregate column's (no shared row
+/// mask exists there).
+fn stepped_chunks<V: Value, T: Send + Sync>(
+    cols: &[ColView<'_, V>],
+    n_rows: usize,
+    preds: &[CompiledPredicate<V>],
+    validity: Option<&ValidityBitmap>,
+    hint: usize,
+    f: impl Fn(&[usize]) -> T + Sync,
+) -> Vec<T> {
+    let sel = select_cols(cols, n_rows, preds, validity, hint);
+    let rows = sel.as_slice();
+    let chunks = chunk_ranges(rows.len(), hint);
+    parallel_map(hint, chunks.len(), |i| {
+        let (s, e) = chunks[i];
+        f(&rows[s..e])
+    })
+}
+
+/// Can the aggregate over column `agg` run in code space? Every predicate
+/// column's main must have the aggregate column's main length, so one row
+/// mask serves them all.
+fn masked_aggregate<V: Value>(
+    cols: &[ColView<'_, V>],
+    agg: usize,
+    preds: &[CompiledPredicate<V>],
+) -> bool {
+    preds.is_empty() || fused_main_len(cols, preds) == Some(cols[agg].main.len())
+}
+
+/// Sum column `agg` over the matching valid rows: main rows in code space
+/// per morsel ([`fold_main`]), tail rows by value.
+fn sum_cols<V: Value>(
+    cols: &[ColView<'_, V>],
+    n_rows: usize,
+    agg: usize,
+    preds: &[CompiledPredicate<V>],
     validity: Option<&ValidityBitmap>,
     hint: usize,
 ) -> u128 {
-    let ranges = morsel_ranges(col.len(), hint);
-    parallel_map(hint, ranges.len(), |i| {
-        let (s, e) = ranges[i];
-        sum_rows(col, validity, s, e)
+    let col = &cols[agg];
+    if !masked_aggregate(cols, agg, preds) {
+        return stepped_chunks(cols, n_rows, preds, validity, hint, |rows| {
+            rows.iter()
+                .map(|&r| col.value(r).to_u64_lossy() as u128)
+                .sum::<u128>()
+        })
+        .into_iter()
+        .sum();
+    }
+    // Each selected code gathers its dictionary value.
+    let values = col.main.dictionary().values();
+    let main: u128 = fold_main(cols, agg, preds, validity, hint, 0u128, |acc, code| {
+        *acc += values[code as usize].to_u64_lossy() as u128;
     })
     .into_iter()
-    .sum()
-}
-
-/// One morsel's min/max partial: folded main *codes* (decoded later, once,
-/// by the combiner) and folded tail values.
-type MinMaxPartial<V> = (Option<(u64, u64)>, Option<(V, V)>);
-
-/// Fold min/max over rows `[start, end)` of `col`: main rows fold *codes*
-/// (decoded later, once, by the combiner), tail rows fold values.
-fn min_max_rows<V: Value>(
-    col: &ColView<'_, V>,
-    validity: Option<&ValidityBitmap>,
-    start: usize,
-    end: usize,
-) -> MinMaxPartial<V> {
+    .sum();
     let nm = col.main.len();
-    let mut code_mm: Option<(u64, u64)> = None;
-    if start < nm {
-        let mut cur = col.main.packed_codes().cursor_at(start);
-        for row in start..end.min(nm) {
-            let code = cur.next_value();
-            if validity.is_none_or(|val| val.is_valid(row)) {
-                code_mm = fold_mm(code_mm, code);
-            }
-        }
-    }
-    let mut val_mm: Option<(V, V)> = None;
-    let mut base = nm;
-    for tail in &col.tails {
-        let tail_end = base + tail.len();
-        if start < tail_end && end > base {
-            for row in start.max(base)..end.min(tail_end) {
-                if validity.is_none_or(|val| val.is_valid(row)) {
-                    val_mm = fold_mm(val_mm, tail.get(row - base));
-                }
-            }
-        }
-        base = tail_end;
-    }
-    (code_mm, val_mm)
+    main + tail_selection(cols, nm, n_rows, preds, validity)
+        .map(|r| col.tail_value(r - nm).to_u64_lossy() as u128)
+        .sum::<u128>()
 }
 
-/// Full-column min/max (no predicates): each morsel folds main *codes* and
-/// tail values; the combiner merges the partial extremes in morsel order
-/// and decodes the two surviving codes once.
-fn min_max_full<V: Value>(
-    col: &ColView<'_, V>,
+/// Min/max of column `agg` over the matching valid rows: main rows fold
+/// codes per morsel and the two surviving codes decode once; tail rows
+/// fold values.
+fn min_max_cols<V: Value>(
+    cols: &[ColView<'_, V>],
+    n_rows: usize,
+    agg: usize,
+    preds: &[CompiledPredicate<V>],
     validity: Option<&ValidityBitmap>,
     hint: usize,
 ) -> Option<(V, V)> {
-    let ranges = morsel_ranges(col.len(), hint);
-    let parts = parallel_map(hint, ranges.len(), |i| {
-        let (s, e) = ranges[i];
-        min_max_rows(col, validity, s, e)
-    });
-    let mut code_mm: Option<(u64, u64)> = None;
-    let mut val_mm: Option<(V, V)> = None;
-    for (c, v) in parts {
-        if let Some((lo, hi)) = c {
-            code_mm = fold_mm(fold_mm(code_mm, lo), hi);
-        }
-        if let Some((lo, hi)) = v {
-            val_mm = fold_mm(fold_mm(val_mm, lo), hi);
-        }
+    let col = &cols[agg];
+    if !masked_aggregate(cols, agg, preds) {
+        return stepped_chunks(cols, n_rows, preds, validity, hint, |rows| {
+            rows.iter().fold(None, |mm, &r| fold_mm(mm, col.value(r)))
+        })
+        .into_iter()
+        .flatten()
+        .fold(None, |mm, (lo, hi)| fold_mm(fold_mm(mm, lo), hi));
     }
+    // Codes fold as `(lo, hi)`, empty while `lo > hi`: the dictionary is
+    // order-preserving, so the extreme codes decode to the extreme values.
+    let empty = (u64::MAX, 0u64);
+    let (lo, hi) = fold_main(cols, agg, preds, validity, hint, empty, |(lo, hi), code| {
+        *lo = (*lo).min(code);
+        *hi = (*hi).max(code);
+    })
+    .into_iter()
+    .fold(empty, |(alo, ahi), (blo, bhi)| (alo.min(blo), ahi.max(bhi)));
     let dict = col.main.dictionary();
-    let mut mm = code_mm.map(|(lo, hi)| (dict.value_at(lo as u32), dict.value_at(hi as u32)));
-    if let Some((lo, hi)) = val_mm {
-        mm = fold_mm(fold_mm(mm, lo), hi);
+    let mut mm = (lo <= hi).then(|| (dict.value_at(lo as u32), dict.value_at(hi as u32)));
+    let nm = col.main.len();
+    for r in tail_selection(cols, nm, n_rows, preds, validity) {
+        mm = fold_mm(mm, col.tail_value(r - nm));
     }
     mm
 }
@@ -776,6 +841,9 @@ fn execute_cols<V: Value>(
     );
     let preds = q.predicates();
     let hint = q.threads();
+    // A bitmap without deleted rows filters nothing: the counts and
+    // aggregates drop it.
+    let deletes = validity.filter(|v| v.valid_count() != v.len());
     match q.action() {
         Action::Rows => Output::Rows(select_cols(cols, n_rows, preds, validity, hint).into_rows()),
         Action::Project(pcols) => {
@@ -804,44 +872,10 @@ fn execute_cols<V: Value>(
                 Some(v) => (0..n_rows).filter(|&r| v.is_valid(r)).count(),
             }
         } else {
-            // A bitmap without deleted rows filters nothing: drop it.
-            let deletes = validity.filter(|v| v.valid_count() != v.len());
             count_cols(cols, n_rows, preds, deletes, hint)
         }),
-        Action::Sum(c) => Output::Sum(if preds.is_empty() {
-            sum_full(&cols[*c], validity, hint)
-        } else {
-            let col = &cols[*c];
-            let sel = select_cols(cols, n_rows, preds, validity, hint);
-            let rows = sel.as_slice();
-            let chunks = chunk_ranges(rows.len(), hint);
-            parallel_map(hint, chunks.len(), |i| {
-                let (s, e) = chunks[i];
-                rows[s..e]
-                    .iter()
-                    .map(|&r| col.value(r).to_u64_lossy() as u128)
-                    .sum::<u128>()
-            })
-            .into_iter()
-            .sum()
-        }),
-        Action::MinMax(c) => Output::MinMax(if preds.is_empty() {
-            min_max_full(&cols[*c], validity, hint)
-        } else {
-            let col = &cols[*c];
-            let sel = select_cols(cols, n_rows, preds, validity, hint);
-            let rows = sel.as_slice();
-            let chunks = chunk_ranges(rows.len(), hint);
-            parallel_map(hint, chunks.len(), |i| {
-                let (s, e) = chunks[i];
-                rows[s..e]
-                    .iter()
-                    .fold(None, |mm, &r| fold_mm(mm, col.value(r)))
-            })
-            .into_iter()
-            .flatten()
-            .fold(None, |mm, (lo, hi)| fold_mm(fold_mm(mm, lo), hi))
-        }),
+        Action::Sum(c) => Output::Sum(sum_cols(cols, n_rows, *c, preds, deletes, hint)),
+        Action::MinMax(c) => Output::MinMax(min_max_cols(cols, n_rows, *c, preds, deletes, hint)),
     }
 }
 
@@ -1050,25 +1084,33 @@ impl Executor<AnyValue> for Table {
         // Predicate-free aggregates need no selection vector: dispatch to
         // the typed bulk kernels on the aggregated column.
         if preds.is_empty() {
+            let hint = q.threads();
+            let deletes = Some(self.validity()).filter(|v| v.valid_count() != v.len());
             match q.action() {
                 Action::Count => return Output::Count(self.valid_row_count()),
                 Action::Sum(c) => {
-                    let validity = Some(self.validity());
+                    macro_rules! sum {
+                        ($a:expr) => {
+                            sum_cols(&[attr_view($a)], $a.len(), 0, &[], deletes, hint)
+                        };
+                    }
                     return Output::Sum(match self.column(*c) {
-                        Column::U32(a) => sum_full(&attr_view(a), validity, q.threads()),
-                        Column::U64(a) => sum_full(&attr_view(a), validity, q.threads()),
-                        Column::V16(a) => sum_full(&attr_view(a), validity, q.threads()),
+                        Column::U32(a) => sum!(a),
+                        Column::U64(a) => sum!(a),
+                        Column::V16(a) => sum!(a),
                     });
                 }
                 Action::MinMax(c) => {
-                    let validity = Some(self.validity());
+                    macro_rules! min_max {
+                        ($a:expr, $wrap:path) => {
+                            min_max_cols(&[attr_view($a)], $a.len(), 0, &[], deletes, hint)
+                                .map(|(lo, hi)| ($wrap(lo), $wrap(hi)))
+                        };
+                    }
                     return Output::MinMax(match self.column(*c) {
-                        Column::U32(a) => min_max_full(&attr_view(a), validity, q.threads())
-                            .map(|(lo, hi)| (AnyValue::U32(lo), AnyValue::U32(hi))),
-                        Column::U64(a) => min_max_full(&attr_view(a), validity, q.threads())
-                            .map(|(lo, hi)| (AnyValue::U64(lo), AnyValue::U64(hi))),
-                        Column::V16(a) => min_max_full(&attr_view(a), validity, q.threads())
-                            .map(|(lo, hi)| (AnyValue::V16(lo), AnyValue::V16(hi))),
+                        Column::U32(a) => min_max!(a, AnyValue::U32),
+                        Column::U64(a) => min_max!(a, AnyValue::U64),
+                        Column::V16(a) => min_max!(a, AnyValue::V16),
                     });
                 }
                 Action::Rows | Action::Project(_) => {}

@@ -223,18 +223,28 @@ impl AtomicValidity {
     /// A plain-bitmap copy of rows `0..n`, with the last word masked to
     /// `n` — bits of not-yet-published rows above the watermark are set
     /// before publication and must not leak into the snapshot.
+    ///
+    /// The copy walks the chunk spine a chunk slice at a time; a chunk
+    /// that was never allocated reads as zero words.
     pub fn snapshot_prefix(&self, n: usize) -> ValidityBitmap {
         let n_words = n.div_ceil(64);
         let mut words = Vec::with_capacity(n_words);
-        let mut valid_count = 0usize;
-        for w in 0..n_words {
-            let mut word = self.word(w * 64).load(Ordering::Relaxed);
-            if (w + 1) * 64 > n {
-                word &= (1u64 << (n % 64)) - 1;
+        for (k, chunk) in self.chunks.iter().enumerate() {
+            let want = (WORDS_0 << k).min(n_words - words.len());
+            if want == 0 {
+                break;
             }
-            valid_count += word.count_ones() as usize;
-            words.push(word);
+            match chunk.get() {
+                Some(c) => words.extend(c[..want].iter().map(|w| w.load(Ordering::Relaxed))),
+                None => words.resize(words.len() + want, 0),
+            }
         }
+        if !n.is_multiple_of(64) {
+            if let Some(last) = words.last_mut() {
+                *last &= (1u64 << (n % 64)) - 1;
+            }
+        }
+        let valid_count = words.iter().map(|w| w.count_ones() as usize).sum();
         ValidityBitmap {
             words,
             len: n,
@@ -369,6 +379,49 @@ mod tests {
         assert!(snap.is_valid(99));
         // Asking about row 100 panics — it's outside the snapshot.
         assert!(std::panic::catch_unwind(|| snap.is_valid(100)).is_err());
+    }
+
+    #[test]
+    fn snapshot_prefix_matches_per_row_validity() {
+        // Word counts at and around the chunk boundaries (chunk 0 ends at
+        // word 16, chunk 1 at 48, chunk 2 at 112), each with a partial last
+        // word too; rows far past every `n` leave untouched chunks beyond.
+        let v = AtomicValidity::new();
+        let top = 112 * 64 + 70;
+        for i in 0..top {
+            if i % 7 != 3 {
+                v.set_valid(i);
+            }
+        }
+        v.set_valid(40_000);
+        let mut ns = vec![0usize, 1, 63, 64];
+        for words in [16usize, 48, 112] {
+            for w in [words - 1, words, words + 1] {
+                ns.extend([w * 64, w * 64 - 5]);
+            }
+        }
+        ns.push(top);
+        for n in ns {
+            let snap = v.snapshot_prefix(n);
+            assert_eq!(snap.len(), n);
+            assert_eq!(snap.words().len(), n.div_ceil(64), "n {n}");
+            let valid = (0..n).filter(|&i| v.is_valid(i)).count();
+            assert_eq!(snap.valid_count(), valid, "n {n}");
+            for i in 0..n {
+                assert_eq!(snap.is_valid(i), v.is_valid(i), "n {n}, row {i}");
+            }
+            if n % 64 != 0 {
+                let last = *snap.words().last().unwrap();
+                assert_eq!(last >> (n % 64), 0, "n {n}: bits above n masked");
+            }
+        }
+        // A prefix over never-touched chunks reads zero words.
+        let sparse = AtomicValidity::new();
+        sparse.set_valid(5);
+        let snap = sparse.snapshot_prefix(200 * 64 + 1);
+        assert_eq!(snap.valid_count(), 1);
+        assert!(snap.is_valid(5));
+        assert!(!snap.is_valid(200 * 64));
     }
 
     #[test]

@@ -102,10 +102,17 @@ fn cancellation_under_concurrent_inserts_is_atomic() {
     for round in 0..5 {
         let cancel = Arc::new(AtomicBool::new(false));
         let before_rows = table.row_count();
+        let before_epoch = table.epoch();
         let handle = {
             let (table, cancel) = (Arc::clone(&table), Arc::clone(&cancel));
             std::thread::spawn(move || table.merge(2, Some(&cancel)))
         };
+        // Wait for the merge's freeze to publish (it advances the epoch),
+        // so every racing insert lands after it: a committed merge then
+        // leaves exactly these rows in the delta.
+        while table.epoch() == before_epoch && !handle.is_finished() {
+            std::thread::yield_now();
+        }
         // Insert while the merge may be running.
         for i in 0..500 {
             table
